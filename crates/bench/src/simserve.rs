@@ -5,7 +5,7 @@
 //! This is the payoff of two seams built for it:
 //!
 //! * the **scheduler seam** (netsim's event loop runs on
-//!   `beware_runtime::DeadlineWheel` and drives a `SimClock`): the serve
+//!   `beware_runtime::TimerQueue` and drives a `SimClock`): the serve
 //!   [`Engine`] stamps request latency through
 //!   [`Ctx::clock`](beware_netsim::Ctx::clock) and observes the simulated
 //!   timeline, and every client's timeout is a genuinely cancellable

@@ -1,37 +1,33 @@
 //! The discrete-event queue at the heart of the simulator — a thin
-//! adapter over [`beware_runtime::DeadlineWheel`].
+//! [`SimTime`] wrapper over [`beware_runtime::TimerQueue`], the
+//! workspace's one scheduler core.
 //!
-//! Until PR 10 this module carried its own binary heap keyed
-//! `(time, sequence)`. The wheel orders by `(deadline, generation)` with
-//! the generation unique per schedule call, which is the *same* total
-//! order when every event is scheduled exactly once — so the simulator's
-//! determinism contract (time order, FIFO among same-nanosecond ties) is
-//! inherited rather than re-implemented, and the workspace converges on
-//! one scheduling substrate. What the adapter adds on top:
+//! This module once carried its own binary heap keyed
+//! `(time, sequence)`. The runtime core orders by `(deadline, schedule
+//! sequence)` — the *same* total order — so the simulator's determinism
+//! contract (time order, FIFO among same-nanosecond ties) is inherited
+//! rather than re-implemented. The core holds each event's payload
+//! inline in a slab slot, so nothing on the push/pop path hashes. What
+//! the wrapper adds on top:
 //!
-//! * payload storage (the wheel schedules bare keys),
 //! * [`EventKey`]-based cancellation — the seam behind
 //!   [`Ctx::cancel_timer`](crate::sim::Ctx::cancel_timer), retiring the
 //!   generation-counter idiom agents used to fake it,
 //! * the peak-pending gauge the run summaries report.
 
 use crate::time::SimTime;
-use beware_runtime::DeadlineWheel;
-use std::collections::HashMap;
-use std::time::Duration;
+use beware_runtime::{TimerKey, TimerQueue};
 
 /// Handle to one scheduled event, returned by [`EventQueue::push`] and
-/// accepted by [`EventQueue::cancel`]. Keys are never reused within a
-/// queue, so a stale handle is harmlessly inert.
+/// accepted by [`EventQueue::cancel`]. A stale handle (its event popped
+/// or cancelled) is harmlessly inert, even after its slot is reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventKey(u64);
+pub struct EventKey(TimerKey);
 
 /// A deterministic time-ordered event queue.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    wheel: DeadlineWheel<u64>,
-    payloads: HashMap<u64, E>,
-    next_seq: u64,
+    timers: TimerQueue<E>,
     peak: usize,
 }
 
@@ -44,57 +40,42 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue { wheel: DeadlineWheel::new(), payloads: HashMap::new(), next_seq: 0, peak: 0 }
+        EventQueue { timers: TimerQueue::new(), peak: 0 }
     }
 
     /// Schedule `event` at `at`. Events pushed for the same instant pop
     /// in push order.
     pub fn push(&mut self, at: SimTime, event: E) -> EventKey {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.wheel.schedule(seq, Duration::from(at));
-        self.payloads.insert(seq, event);
-        if self.payloads.len() > self.peak {
-            self.peak = self.payloads.len();
-        }
-        EventKey(seq)
+        let key = self.timers.schedule(at.as_ns(), event);
+        self.peak = self.peak.max(self.timers.len());
+        EventKey(key)
     }
 
     /// Cancel a scheduled event, returning its payload if it was still
-    /// pending. Popped, already-cancelled, or foreign keys return `None`.
+    /// pending. Popped or already-cancelled keys return `None`.
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        let event = self.payloads.remove(&key.0)?;
-        self.wheel.cancel(&key.0);
-        Some(event)
+        self.timers.cancel(key.0)
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            let (seq, at) = self.wheel.pop_next()?;
-            // A cancelled key may linger in the wheel's lazy heap; its
-            // payload is gone, which is how we know to skip it.
-            if let Some(event) = self.payloads.remove(&seq) {
-                let at = SimTime::try_from(at).expect("deadline came from a SimTime");
-                return Some((at, event));
-            }
-        }
+        let (at, event) = self.timers.pop_next()?;
+        Some((SimTime::from_ns(at), event))
     }
 
     /// Time of the earliest event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let at = self.wheel.next_deadline()?;
-        Some(SimTime::try_from(at).expect("deadline came from a SimTime"))
+        self.timers.next_deadline().map(SimTime::from_ns)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.payloads.len()
+        self.timers.len()
     }
 
     /// True when nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
+        self.timers.is_empty()
     }
 
     /// High-water mark: the largest number of events ever pending at once.

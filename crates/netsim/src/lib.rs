@@ -17,7 +17,7 @@
 //!   (Section 5.3).
 //!
 //! Module map: [`time`] and [`event`] are the discrete-event substrate
-//! (scheduling through `beware_runtime::DeadlineWheel` and driving a
+//! (scheduling through `beware_runtime::TimerQueue` and driving a
 //! [`SimClock`] — one scheduler for the whole workspace),
 //! [`rng`] the seeded distributions, [`packet`] the packet model bridging
 //! to `beware-wire` bytes, [`profile`]/[`host`]/[`world`] the behavior

@@ -2,8 +2,8 @@
 //! the world.
 //!
 //! Agents are written callback-style against [`Ctx`]: they send packets,
-//! set timers, and receive deliveries. Since PR 10 the loop schedules
-//! through the shared `runtime::DeadlineWheel` (via
+//! set timers, and receive deliveries. The loop schedules through the
+//! shared `runtime::TimerQueue` (via
 //! [`EventQueue`](crate::event::EventQueue)) and drives a
 //! [`SimClock`](crate::time::SimClock) forward as it pops — so timers are
 //! genuinely cancellable ([`Ctx::cancel_timer`], retiring the

@@ -177,7 +177,7 @@ pub fn process_cpu_time() -> Option<Duration> {
 }
 
 /// Clamp a `Duration` into u64 nanoseconds (saturating).
-fn duration_to_ns(d: Duration) -> u64 {
+pub(crate) fn duration_to_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 

@@ -22,10 +22,18 @@
 //!   the workspace; `beware-netsim`, `beware-faultsim` and
 //!   `beware-serve` all re-export or delegate to it, with equivalence
 //!   tests pinning the streams to the retired private copies.
-//! * [`DeadlineWheel`] — a binary-heap deadline scheduler with lazy
-//!   cancellation, shared by the oracle server's shard loop (idle
-//!   eviction) and the chaos proxy (deferred delayed chunks), replacing
-//!   their ad-hoc `last_active` / inline-sleep deadline math.
+//! * [`wheel`] — the workspace's one deadline scheduler. Its core,
+//!   [`TimerQueue`], is a binary heap of 24-byte `(deadline, seq, slot)`
+//!   entries over a slab of inline payloads; a [`TimerKey`] is a `Copy`
+//!   `(slot, seq)` pair, so scheduling, cancelling and popping never
+//!   hash, and a stale key cannot touch its slot's next occupant.
+//!   Cancellation is lazy, and the heap is rebuilt from its live entries
+//!   once dead ones outnumber them by a fixed slack. netsim's event
+//!   queue wraps the core directly; [`DeadlineWheel`] is the keyed face
+//!   (one deadline per caller key, reschedule and cancel by key) that the
+//!   oracle server's shard loop (idle eviction) and the chaos proxy
+//!   (deferred delayed chunks) use in place of ad-hoc `last_active` /
+//!   inline-sleep deadline math.
 //! * [`reactor`] — readiness-driven I/O: a minimal epoll reactor (with
 //!   its own `extern "C"` glibc bindings — the build is hermetic, so no
 //!   `mio`/`libc`) plus a clock-paced polling fallback behind one
@@ -66,4 +74,4 @@ pub use reactor::{
 };
 pub use rng::{derive_seed, unit_hash, SplitMix64};
 pub use swap::{Slot, SlotReader};
-pub use wheel::DeadlineWheel;
+pub use wheel::{DeadlineWheel, TimerKey, TimerQueue};

@@ -37,7 +37,7 @@ use beware_policy::{PolicyKind, PolicyTable, PrefixPolicyMap, RttSample, INITIAL
 use beware_runtime::clock::SharedClock;
 use beware_runtime::reactor::{Interest, StopSignal};
 use beware_runtime::swap::{Slot, SlotReader};
-use beware_telemetry::Registry;
+use beware_telemetry::{CounterId, HistogramId, Registry, RegistryId};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -154,12 +154,16 @@ impl ChannelPeer {
 }
 
 /// Aggregate counters served by the `Stats` request. Shared across
-/// shards; relaxed ordering is fine for monotone counters.
+/// shards; relaxed ordering is fine for monotone counters. Every query
+/// ends in exactly one of the three outcome counters, and the reply's
+/// query count is their sum, so a `Stats` reply taken while other shards
+/// are mid-query still satisfies `queries ≥ hits_exact + hits_fallback`
+/// with equality when no query was refused.
 #[derive(Debug, Default)]
 pub(crate) struct GlobalStats {
-    pub(crate) queries: AtomicU64,
     pub(crate) hits_exact: AtomicU64,
     pub(crate) hits_fallback: AtomicU64,
+    pub(crate) unsupported_pct: AtomicU64,
     pub(crate) reports: AtomicU64,
 }
 
@@ -408,6 +412,39 @@ pub(crate) const OUT_QUEUE_CAP: usize = 64 * 1024;
 /// instead of drained connection-by-connection.
 const READ_BUDGET: usize = 16 * 1024;
 
+/// Handles for the metrics every request touches, resolved once against
+/// one registry: recording through them formats no name.
+#[derive(Debug, Clone, Copy)]
+struct ServeIds {
+    registry: RegistryId,
+    requests: CounterId,
+    queries: CounterId,
+    bytes_in: CounterId,
+    bytes_out: CounterId,
+    hits_exact: CounterId,
+    hits_fallback: CounterId,
+    cache_hits: CounterId,
+    cache_misses: CounterId,
+    request_ns: HistogramId,
+}
+
+impl ServeIds {
+    fn resolve(reg: &mut Registry) -> ServeIds {
+        ServeIds {
+            registry: reg.id(),
+            requests: reg.counter_id("serve/requests"),
+            queries: reg.counter_id("serve/queries"),
+            bytes_in: reg.counter_id("serve/bytes_in"),
+            bytes_out: reg.counter_id("serve/bytes_out"),
+            hits_exact: reg.counter_id("serve/hits_exact"),
+            hits_fallback: reg.counter_id("serve/hits_fallback"),
+            cache_hits: reg.counter_id("sched/serve/cache_hits"),
+            cache_misses: reg.counter_id("sched/serve/cache_misses"),
+            request_ns: reg.histogram_id("walltime/serve/request_ns"),
+        }
+    }
+}
+
 /// The state shared by every shard of one logical server: the swappable
 /// oracle, global stats, the policy estimator, the reload context and
 /// the stop signal. Each shard — an OS thread in the socket server, a
@@ -476,6 +513,7 @@ impl EngineCore {
             stats: Arc::clone(&self.stats),
             cache: HashMap::new(),
             cache_version: 0,
+            ids: None,
             scratch: vec![0u8; 4096].into_boxed_slice(),
             clock,
             out_queue_cap,
@@ -497,12 +535,31 @@ pub struct Engine {
     /// Snapshot version the cache's entries were answered from; a swap
     /// invalidates them wholesale (see `handle_request`).
     cache_version: u64,
+    /// Metric handles for the last enabled registry `service` was handed.
+    ids: Option<ServeIds>,
     scratch: Box<[u8]>,
     clock: SharedClock,
     out_queue_cap: usize,
 }
 
 impl Engine {
+    /// The per-request metric handles for `reg`: cached, re-resolved when
+    /// a different registry arrives, `None` when `reg` is disabled (the
+    /// cache is then left alone).
+    fn serve_ids(&mut self, reg: &mut Registry) -> Option<ServeIds> {
+        if !reg.enabled() {
+            return None;
+        }
+        match self.ids {
+            Some(ids) if ids.registry == reg.id() => Some(ids),
+            _ => {
+                let ids = ServeIds::resolve(reg);
+                self.ids = Some(ids);
+                Some(ids)
+            }
+        }
+    }
+
     /// The serving snapshot version (refreshing the reader's view).
     pub fn snapshot_version(&mut self) -> u64 {
         self.reader.version()
@@ -579,6 +636,7 @@ impl Engine {
     /// [`READ_BUDGET`]), decode, and queue a reply for every complete
     /// frame. Returns true when any byte moved.
     pub fn service<T: Transport>(&mut self, conn: &mut Conn<T>, reg: &mut Registry) -> bool {
+        let ids = self.serve_ids(reg);
         let mut progress = false;
         let mut budget = READ_BUDGET;
         // EOF is recorded, not acted on inline: requests that arrived
@@ -601,7 +659,9 @@ impl Engine {
                 }
                 Ok(n) => {
                     budget -= n;
-                    reg.scope("serve").add("bytes_in", n as u64);
+                    if let Some(ids) = ids {
+                        reg.add(ids.bytes_in, n as u64);
+                    }
                     conn.buf.extend_from_slice(&self.scratch[..n]);
                     conn.touched = true;
                     progress = true;
@@ -621,12 +681,16 @@ impl Engine {
                 Ok(Some((msg, used))) => {
                     consumed += used;
                     let t0 = self.clock.now();
-                    let (reply, close) = self.handle_request(&msg, reg);
+                    let (reply, close) = self.handle_request(&msg, ids, reg);
                     let frame = proto::encode(&reply);
-                    reg.scope("serve").add("bytes_out", frame.len() as u64);
+                    if let Some(ids) = ids {
+                        reg.add(ids.bytes_out, frame.len() as u64);
+                    }
                     self.enqueue_reply(conn, &frame, reg);
                     let ns = u64::try_from(self.clock.since(t0).as_nanos()).unwrap_or(u64::MAX);
-                    reg.scope("walltime").scope("serve").observe("request_ns", ns);
+                    if let Some(ids) = ids {
+                        reg.observe(ids.request_ns, ns);
+                    }
                     if close {
                         conn.close_after_flush = true;
                     }
@@ -642,7 +706,9 @@ impl Engine {
                         _ => ErrorCode::Malformed,
                     };
                     let frame = proto::encode(&Message::Error { code });
-                    reg.scope("serve").add("bytes_out", frame.len() as u64);
+                    if let Some(ids) = ids {
+                        reg.add(ids.bytes_out, frame.len() as u64);
+                    }
                     self.enqueue_reply(conn, &frame, reg);
                     conn.close_after_flush = true;
                     progress = true;
@@ -673,13 +739,20 @@ impl Engine {
 
     /// Dispatch one decoded request. Returns the reply and whether the
     /// connection should close afterwards.
-    fn handle_request(&mut self, msg: &Message, reg: &mut Registry) -> (Message, bool) {
-        let mut serve = reg.scope("serve");
-        serve.incr("requests");
+    fn handle_request(
+        &mut self,
+        msg: &Message,
+        ids: Option<ServeIds>,
+        reg: &mut Registry,
+    ) -> (Message, bool) {
+        if let Some(ids) = ids {
+            reg.incr(ids.requests);
+        }
         match *msg {
             Message::Query { addr, addr_pct_tenths, ping_pct_tenths } => {
-                serve.incr("queries");
-                self.stats.queries.fetch_add(1, Ordering::Relaxed);
+                if let Some(ids) = ids {
+                    reg.incr(ids.queries);
+                }
                 if let Some(plane) = self.policy.as_mut() {
                     // Policy mode: answer from the last published
                     // estimator table. Coverage percentiles don't apply
@@ -695,7 +768,7 @@ impl Engine {
                     } else {
                         (Status::Fallback, 0, 0)
                     };
-                    bump_hit(&self.stats, reg, status);
+                    bump_hit(&self.stats, ids, reg, status);
                     return (
                         Message::Answer {
                             status,
@@ -717,23 +790,25 @@ impl Engine {
                 }
                 let key = (addr, addr_pct_tenths, ping_pct_tenths);
                 if let Some(&cached) = self.cache.get(&key) {
-                    reg.scope("sched").scope("serve").incr("cache_hits");
+                    if let Some(ids) = ids {
+                        reg.incr(ids.cache_hits);
+                    }
                     // Deterministic per-request counters must not depend
                     // on whether this shard's cache happened to hold the
                     // reply.
                     match cached {
-                        Message::Answer { status, .. } => bump_hit(&self.stats, reg, status),
-                        Message::Error { .. } => {
-                            reg.scope("serve").incr("errors_unsupported_pct");
-                        }
+                        Message::Answer { status, .. } => bump_hit(&self.stats, ids, reg, status),
+                        Message::Error { .. } => refuse_pct(&self.stats, reg),
                         _ => {}
                     }
                     return (cached, false);
                 }
-                reg.scope("sched").scope("serve").incr("cache_misses");
+                if let Some(ids) = ids {
+                    reg.incr(ids.cache_misses);
+                }
                 let reply = match oracle.lookup(addr, addr_pct_tenths, ping_pct_tenths) {
                     Ok(ans) => {
-                        bump_hit(&self.stats, reg, ans.status);
+                        bump_hit(&self.stats, ids, reg, ans.status);
                         Message::Answer {
                             status: ans.status,
                             timeout_bits: ans.timeout_bits,
@@ -743,7 +818,7 @@ impl Engine {
                     }
                     Err(LookupError::UnsupportedAddressPercentile(_))
                     | Err(LookupError::UnsupportedPingPercentile(_)) => {
-                        reg.scope("serve").incr("errors_unsupported_pct");
+                        refuse_pct(&self.stats, reg);
                         Message::Error { code: ErrorCode::UnsupportedPercentile }
                     }
                 };
@@ -754,18 +829,21 @@ impl Engine {
                 (reply, false)
             }
             Message::Stats => {
-                serve.incr("stats_requests");
+                reg.scope("serve").incr("stats_requests");
+                let hits_exact = self.stats.hits_exact.load(Ordering::Relaxed);
+                let hits_fallback = self.stats.hits_fallback.load(Ordering::Relaxed);
+                let refused = self.stats.unsupported_pct.load(Ordering::Relaxed);
                 (
                     Message::StatsReply {
-                        queries: self.stats.queries.load(Ordering::Relaxed),
-                        hits_exact: self.stats.hits_exact.load(Ordering::Relaxed),
-                        hits_fallback: self.stats.hits_fallback.load(Ordering::Relaxed),
+                        queries: hits_exact + hits_fallback + refused,
+                        hits_exact,
+                        hits_fallback,
                     },
                     false,
                 )
             }
             Message::SnapshotInfo => {
-                serve.incr("info_requests");
+                reg.scope("serve").incr("info_requests");
                 // `current()` refreshes the cached pair under the slot
                 // lock, so the (version, oracle) this reply reports is
                 // consistent.
@@ -780,11 +858,11 @@ impl Engine {
                 )
             }
             Message::Reload { kind } => {
-                serve.incr("reload_requests");
+                reg.scope("serve").incr("reload_requests");
                 (admin_reload(kind, &self.reload, reg), false)
             }
             Message::Report { addr, rtt_us } => {
-                serve.incr("report_requests");
+                reg.scope("serve").incr("report_requests");
                 match self.policy.as_ref() {
                     Some(plane) => {
                         let reports = plane.ctx.absorb(addr, rtt_us, &self.stats);
@@ -797,7 +875,7 @@ impl Engine {
                 }
             }
             Message::Shutdown => {
-                serve.incr("shutdown_requests");
+                reg.scope("serve").incr("shutdown_requests");
                 // Raise the flag *and* ring every shard and the acceptor
                 // — they are blocked in their reactors, not polling a
                 // flag.
@@ -806,23 +884,26 @@ impl Engine {
             }
             // A reply opcode arriving as a request is a confused client.
             _ => {
-                serve.incr("errors_bad_request");
+                reg.scope("serve").incr("errors_bad_request");
                 (Message::Error { code: ErrorCode::UnknownOpcode }, false)
             }
         }
     }
 }
 
-fn bump_hit(stats: &GlobalStats, reg: &mut Registry, status: Status) {
-    match status {
-        Status::Exact => {
-            stats.hits_exact.fetch_add(1, Ordering::Relaxed);
-            reg.scope("serve").incr("hits_exact");
-        }
-        Status::Fallback => {
-            stats.hits_fallback.fetch_add(1, Ordering::Relaxed);
-            reg.scope("serve").incr("hits_fallback");
-        }
+fn refuse_pct(stats: &GlobalStats, reg: &mut Registry) {
+    stats.unsupported_pct.fetch_add(1, Ordering::Relaxed);
+    reg.scope("serve").incr("errors_unsupported_pct");
+}
+
+fn bump_hit(stats: &GlobalStats, ids: Option<ServeIds>, reg: &mut Registry, status: Status) {
+    let (global, id) = match status {
+        Status::Exact => (&stats.hits_exact, ids.map(|ids| ids.hits_exact)),
+        Status::Fallback => (&stats.hits_fallback, ids.map(|ids| ids.hits_fallback)),
+    };
+    global.fetch_add(1, Ordering::Relaxed);
+    if let Some(id) = id {
+        reg.incr(id);
     }
 }
 
@@ -872,6 +953,48 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
         assert_eq!(reg.counter("serve/queries"), Some(1));
+    }
+
+    #[test]
+    fn one_engine_over_alternating_registries_records_into_each_its_own() {
+        // The engine caches metric handles keyed on the registry it is
+        // handed; switching registries (and passing a disabled one in
+        // between) must never leak a count into the wrong one.
+        let query = proto::encode(&Message::Query {
+            addr: 0x0a000001,
+            addr_pct_tenths: 500,
+            ping_pct_tenths: 500,
+        });
+        let serve_into = |order: &[usize]| {
+            let core = EngineCore::new(test_oracle(), Arc::new(StopSignal::new()), None, None);
+            let mut engine = engine_over(&core);
+            let (server_side, peer) = channel_pair();
+            let mut conn = Conn::new(0, server_side);
+            let mut regs = [Registry::new(), Registry::new(), Registry::disabled()];
+            for &which in order {
+                peer.send(&query);
+                assert!(engine.service(&mut conn, &mut regs[which]));
+                engine.flush(&mut conn, &mut regs[which]);
+            }
+            regs
+        };
+        let [a, b, off] = serve_into(&[0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(a.counter("serve/requests"), Some(3));
+        assert_eq!(a.counter("serve/queries"), Some(3));
+        assert_eq!(a.counter("serve/hits_exact"), Some(3));
+        assert_eq!(a.counter("serve/bytes_in"), Some(3 * query.len() as u64));
+        assert_eq!(a.counter("sched/serve/cache_misses"), Some(1));
+        assert_eq!(a.counter("sched/serve/cache_hits"), Some(2));
+        assert_eq!(b.counter("serve/queries"), Some(2));
+        assert_eq!(b.counter("serve/hits_exact"), Some(2));
+        assert_eq!(b.counter("serve/bytes_in"), Some(2 * query.len() as u64));
+        assert_eq!(b.counter("sched/serve/cache_misses"), Some(0));
+        assert_eq!(b.counter("sched/serve/cache_hits"), Some(2));
+        assert!(off.is_empty());
+        // Each deterministic export equals that of a registry that saw
+        // only its own requests.
+        assert_eq!(a.to_json(), serve_into(&[0, 0, 0])[0].to_json());
+        assert_eq!(b.to_json(), serve_into(&[1, 1])[1].to_json());
     }
 
     #[test]

@@ -13,12 +13,18 @@
 //!   thread counts; [`Registry::merge`] is commutative over `u64`
 //!   arithmetic but callers still merge in fixed task order so even a
 //!   future non-commutative metric kind would stay reproducible.
+//! * **Handles are the hot path.** Metrics live in a vector of slots
+//!   behind a name table. A name resolved once to a [`CounterId`],
+//!   [`GaugeId`] or [`HistogramId`] records by index — no string is
+//!   formatted, no map walked — so per-request code (the serve engine)
+//!   resolves its handles once per registry and records through them.
+//!   The [`Scope`] string API is the cold path over the same slots, for
+//!   setup, rare events and end-of-run flushes; exports cannot tell the
+//!   two faces apart.
 //! * **Near-zero cost when disabled.** A registry built with
-//!   [`Registry::disabled`] turns every recording call into a branch on
-//!   one bool; no strings are formatted, no map entries touched. Hot
-//!   loops should still aggregate into plain struct counters and flush
-//!   once at end of run — the per-metric `String` lookup is meant for
-//!   end-of-run recording, not per-packet paths.
+//!   [`Registry::disabled`] turns every recording call, by handle or by
+//!   name, into a branch on one bool; no strings are formatted or
+//!   allocated, no map entries touched.
 //! * **Hierarchical names.** Metric names are `/`-joined paths
 //!   (`probe/survey/matched`); a [`Scope`] is a registry view with a
 //!   fixed prefix, nestable via [`Scope::scope`].
@@ -33,6 +39,7 @@ mod json;
 
 use beware_runtime::clock::SharedClock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Family prefix for wall-clock measurements. Metrics under this prefix
 /// are nondeterministic by nature and are excluded from
@@ -101,6 +108,7 @@ fn bucket_upper(b: u32) -> u64 {
 
 impl Histogram {
     /// Record one value.
+    #[inline]
     pub fn observe(&mut self, v: u64) {
         if self.count == 0 {
             self.min = v;
@@ -197,15 +205,74 @@ impl Metric {
     }
 }
 
+/// Source of [`RegistryId`]s: every registry value — new, disabled,
+/// cloned or parsed — takes the next one.
+static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(0);
+
+/// The identity of one [`Registry`] value, carried by every handle it
+/// resolves. A cache of handles compares it with [`Registry::id`] to
+/// notice that it was handed a different registry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RegistryId(u64);
+
+impl RegistryId {
+    fn fresh() -> RegistryId {
+        RegistryId(NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+macro_rules! handle {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        ///
+        /// Resolved once by full name; recording through it indexes the
+        /// registry's slot vector — no string is formatted, no map walked.
+        /// It belongs to the registry that resolved it: recording it into
+        /// any other enabled registry panics.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub struct $name {
+            reg: RegistryId,
+            slot: usize,
+        }
+    };
+}
+
+handle!(
+    /// A pre-resolved counter ([`Registry::counter_id`]).
+    CounterId
+);
+handle!(
+    /// A pre-resolved max-gauge ([`Registry::gauge_id`]).
+    GaugeId
+);
+handle!(
+    /// A pre-resolved histogram ([`Registry::histogram_id`]).
+    HistogramId
+);
+
 /// The metric store. Create one per independent unit of work (a task in
-/// a parallel fan-out), record through [`Scope`]s, then [`merge`] the
-/// per-task registries **in task order** into one.
+/// a parallel fan-out), record through handles or [`Scope`]s, then
+/// [`merge`] the per-task registries **in task order** into one.
+///
+/// Metrics live in a vector of slots indexed by a name table. Resolving
+/// a name allocates an empty slot; a slot stays invisible to every
+/// reader — [`get`], [`counter`], [`iter`], [`len`], [`merge`], the JSON
+/// and text exports — until something is recorded into it, so resolving
+/// handles up front changes no output.
 ///
 /// [`merge`]: Registry::merge
-#[derive(Debug, Clone, Default)]
+/// [`get`]: Registry::get
+/// [`counter`]: Registry::counter
+/// [`iter`]: Registry::iter
+/// [`len`]: Registry::len
+#[derive(Debug)]
 pub struct Registry {
     enabled: bool,
-    metrics: BTreeMap<String, Metric>,
+    id: RegistryId,
+    /// Full name → slot index; its order is the export order.
+    names: BTreeMap<String, usize>,
+    /// `None` until the first recording fixes the slot's kind.
+    slots: Vec<Option<Metric>>,
     /// Time source for [`Scope::time`]. `None` means real time
     /// ([`std::time::Instant`]); tests inject a
     /// `beware_runtime::VirtualClock` to make the `walltime/` family
@@ -214,23 +281,54 @@ pub struct Registry {
     clock: Option<SharedClock>,
 }
 
+/// A copy with a fresh identity: handles resolved on the original do not
+/// record into the clone.
+impl Clone for Registry {
+    fn clone(&self) -> Self {
+        Registry {
+            enabled: self.enabled,
+            id: RegistryId::fresh(),
+            names: self.names.clone(),
+            slots: self.slots.clone(),
+            clock: self.clock.clone(),
+        }
+    }
+}
+
+/// The default registry is [`Registry::disabled`].
+impl Default for Registry {
+    fn default() -> Self {
+        Registry::disabled()
+    }
+}
+
 impl Registry {
+    fn build(enabled: bool, clock: Option<SharedClock>) -> Self {
+        Registry {
+            enabled,
+            id: RegistryId::fresh(),
+            names: BTreeMap::new(),
+            slots: Vec::new(),
+            clock,
+        }
+    }
+
     /// An enabled, empty registry.
     pub fn new() -> Self {
-        Registry { enabled: true, metrics: BTreeMap::new(), clock: None }
+        Registry::build(true, None)
     }
 
     /// A disabled registry: every recording call is a no-op costing one
     /// branch; merge/export see an empty registry.
     pub fn disabled() -> Self {
-        Registry { enabled: false, metrics: BTreeMap::new(), clock: None }
+        Registry::build(false, None)
     }
 
     /// An enabled registry whose [`Scope::time`] spans are measured on
     /// `clock` instead of the wall — the seam that makes the `walltime/`
     /// family testable under a virtual clock.
     pub fn with_clock(clock: SharedClock) -> Self {
-        Registry { enabled: true, metrics: BTreeMap::new(), clock: Some(clock) }
+        Registry::build(true, Some(clock))
     }
 
     /// Install (or replace) the span-timer clock on an existing registry.
@@ -243,30 +341,38 @@ impl Registry {
         self.enabled
     }
 
+    /// This registry value's identity.
+    pub fn id(&self) -> RegistryId {
+        self.id
+    }
+
     /// Number of metrics recorded.
     pub fn len(&self) -> usize {
-        self.metrics.len()
+        self.slots.iter().filter(|slot| slot.is_some()).count()
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
+        self.slots.iter().all(Option::is_none)
     }
 
     /// A recording view prefixed with `name` (e.g. `"netsim"`).
     pub fn scope(&mut self, name: &str) -> Scope<'_> {
-        Scope { reg: self, prefix: name.to_string() }
+        // A disabled registry records nothing, so its scopes need no
+        // prefix and allocate no string.
+        let prefix = if self.enabled { name.to_string() } else { String::new() };
+        Scope { reg: self, prefix }
     }
 
     /// Look up a metric by full name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.metrics.get(name)
+        self.slots[*self.names.get(name)?].as_ref()
     }
 
     /// Counter value by full name (0 when absent; `None` when the name
     /// holds a different kind).
     pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.metrics.get(name) {
+        match self.get(name) {
             None => Some(0),
             Some(Metric::Counter(v)) => Some(*v),
             Some(_) => None,
@@ -275,54 +381,117 @@ impl Registry {
 
     /// Iterate `(name, metric)` in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.metrics.iter().map(|(k, v)| (k.as_str(), v))
+        self.names
+            .iter()
+            .filter_map(|(name, &slot)| Some((name.as_str(), self.slots[slot].as_ref()?)))
     }
 
-    fn add(&mut self, name: String, delta: u64) {
-        match self.metrics.entry(name) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Metric::Counter(delta));
+    /// Resolve the counter with full name `name` to a handle.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        CounterId { reg: self.id, slot: self.slot_of(name) }
+    }
+
+    /// Resolve the max-gauge with full name `name` to a handle.
+    pub fn gauge_id(&mut self, name: &str) -> GaugeId {
+        GaugeId { reg: self.id, slot: self.slot_of(name) }
+    }
+
+    /// Resolve the histogram with full name `name` to a handle.
+    pub fn histogram_id(&mut self, name: &str) -> HistogramId {
+        HistogramId { reg: self.id, slot: self.slot_of(name) }
+    }
+
+    /// Add `delta` to a counter.
+    #[inline]
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        let Some(slot) = self.slot_mut(id.reg, id.slot) else { return };
+        match slot {
+            Some(Metric::Counter(v)) => *v += delta,
+            None => *slot = Some(Metric::Counter(delta)),
+            Some(m) => {
+                let kind = m.kind_name();
+                self.kind_mismatch(id.slot, kind, "counter")
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Metric::Counter(v) => *v += delta,
-                m => {
-                    let kind = m.kind_name();
-                    panic!("telemetry: `{}` is a {kind}, not a counter", e.key())
-                }
-            },
         }
     }
 
-    fn gauge_max(&mut self, name: String, value: u64) {
-        match self.metrics.entry(name) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Metric::Gauge(value));
+    /// Increment a counter by one.
+    #[inline]
+    pub fn incr(&mut self, id: CounterId) {
+        self.add(id, 1);
+    }
+
+    /// Raise a max-gauge to at least `value`.
+    #[inline]
+    pub fn gauge_max(&mut self, id: GaugeId, value: u64) {
+        let Some(slot) = self.slot_mut(id.reg, id.slot) else { return };
+        match slot {
+            Some(Metric::Gauge(v)) => *v = (*v).max(value),
+            None => *slot = Some(Metric::Gauge(value)),
+            Some(m) => {
+                let kind = m.kind_name();
+                self.kind_mismatch(id.slot, kind, "gauge")
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Metric::Gauge(v) => *v = (*v).max(value),
-                m => {
-                    let kind = m.kind_name();
-                    panic!("telemetry: `{}` is a {kind}, not a gauge", e.key())
-                }
-            },
         }
     }
 
-    fn observe(&mut self, name: String, value: u64) {
-        match self.metrics.entry(name) {
-            std::collections::btree_map::Entry::Vacant(e) => {
+    /// Record `value` into a histogram.
+    #[inline]
+    pub fn observe(&mut self, id: HistogramId, value: u64) {
+        let Some(slot) = self.slot_mut(id.reg, id.slot) else { return };
+        match slot {
+            Some(Metric::Histogram(h)) => h.observe(value),
+            None => {
                 let mut h = Histogram::default();
                 h.observe(value);
-                e.insert(Metric::Histogram(h));
+                *slot = Some(Metric::Histogram(h));
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => match e.get_mut() {
-                Metric::Histogram(h) => h.observe(value),
-                m => {
-                    let kind = m.kind_name();
-                    panic!("telemetry: `{}` is a {kind}, not a histogram", e.key())
-                }
-            },
+            Some(m) => {
+                let kind = m.kind_name();
+                self.kind_mismatch(id.slot, kind, "histogram")
+            }
         }
+    }
+
+    /// The slot for `name`, allocating an empty one on first sight. A
+    /// disabled registry allocates nothing: its handles are never used
+    /// to index.
+    fn slot_of(&mut self, name: &str) -> usize {
+        if !self.enabled {
+            return usize::MAX;
+        }
+        if let Some(&slot) = self.names.get(name) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        self.slots.push(None);
+        self.names.insert(name.to_string(), slot);
+        slot
+    }
+
+    /// The slot a handle records into; `None` when recording is off.
+    #[inline]
+    fn slot_mut(&mut self, reg: RegistryId, slot: usize) -> Option<&mut Option<Metric>> {
+        if !self.enabled {
+            return None;
+        }
+        assert!(
+            reg == self.id,
+            "telemetry: metric handle used on a registry that did not resolve it"
+        );
+        Some(&mut self.slots[slot])
+    }
+
+    #[cold]
+    fn kind_mismatch(&self, slot: usize, kind: &str, want: &str) -> ! {
+        let name = self.names.iter().find(|&(_, &s)| s == slot).map_or("?", |(n, _)| n.as_str());
+        panic!("telemetry: `{name}` is a {kind}, not a {want}")
+    }
+
+    /// Store `metric` under `name`, replacing whatever was there.
+    fn insert(&mut self, name: &str, metric: Metric) {
+        let slot = self.slot_of(name);
+        self.slots[slot] = Some(metric);
     }
 
     /// Merge `other` into `self`: counters sum, gauges take the max,
@@ -333,12 +502,11 @@ impl Registry {
         if !self.enabled {
             return;
         }
-        for (name, metric) in &other.metrics {
-            match self.metrics.get_mut(name) {
+        for (name, metric) in other.iter() {
+            let slot = self.slot_of(name);
+            match &mut self.slots[slot] {
                 Some(m) => m.merge(metric, name),
-                None => {
-                    self.metrics.insert(name.clone(), metric.clone());
-                }
+                empty => *empty = Some(metric.clone()),
             }
         }
     }
@@ -360,10 +528,10 @@ impl Registry {
     /// Render a human-readable text report, including `walltime/`.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("telemetry report ({} metrics)\n", self.metrics.len()));
-        let width = self.metrics.keys().map(|k| k.len()).max().unwrap_or(0).min(48);
+        out.push_str(&format!("telemetry report ({} metrics)\n", self.len()));
+        let width = self.iter().map(|(k, _)| k.len()).max().unwrap_or(0).min(48);
         let mut family = "";
-        for (name, metric) in &self.metrics {
+        for (name, metric) in self.iter() {
             let fam = name.split('/').next().unwrap_or("");
             if fam != family {
                 family = fam;
@@ -393,11 +561,13 @@ impl Registry {
     }
 }
 
-/// A prefixed recording view of a [`Registry`]. Metric names passed to
+/// A prefixed recording view of a [`Registry`] — the string-keyed cold
+/// path over the same slots the handles index. Metric names passed to
 /// the recording methods are joined to the scope's prefix with `/`.
 #[derive(Debug)]
 pub struct Scope<'a> {
     reg: &'a mut Registry,
+    /// Empty on a disabled registry, whatever the scope's name.
     prefix: String,
 }
 
@@ -410,7 +580,9 @@ impl Scope<'_> {
 
     /// A nested scope: `self.prefix + "/" + name`.
     pub fn scope(&mut self, name: &str) -> Scope<'_> {
-        let prefix = if self.prefix.is_empty() {
+        let prefix = if !self.reg.enabled {
+            String::new()
+        } else if self.prefix.is_empty() {
             name.to_string()
         } else {
             format!("{}/{name}", self.prefix)
@@ -426,12 +598,27 @@ impl Scope<'_> {
         }
     }
 
+    /// The slot of `prefix/name`. The full name is built on the end of
+    /// the prefix buffer and cut off again, so a name seen before costs
+    /// no allocation.
+    fn slot_of(&mut self, name: &str) -> usize {
+        let base = self.prefix.len();
+        if base > 0 {
+            self.prefix.push('/');
+        }
+        self.prefix.push_str(name);
+        let slot = self.reg.slot_of(&self.prefix);
+        self.prefix.truncate(base);
+        slot
+    }
+
     /// Add `delta` to the counter `name`.
     pub fn add(&mut self, name: &str, delta: u64) {
         if !self.reg.enabled {
             return;
         }
-        self.reg.add(self.full(name), delta);
+        let id = CounterId { reg: self.reg.id, slot: self.slot_of(name) };
+        self.reg.add(id, delta);
     }
 
     /// Increment the counter `name` by one.
@@ -444,7 +631,8 @@ impl Scope<'_> {
         if !self.reg.enabled {
             return;
         }
-        self.reg.gauge_max(self.full(name), value);
+        let id = GaugeId { reg: self.reg.id, slot: self.slot_of(name) };
+        self.reg.gauge_max(id, value);
     }
 
     /// Record `value` into the histogram `name`.
@@ -452,7 +640,8 @@ impl Scope<'_> {
         if !self.reg.enabled {
             return;
         }
-        self.reg.observe(self.full(name), value);
+        let id = HistogramId { reg: self.reg.id, slot: self.slot_of(name) };
+        self.reg.observe(id, value);
     }
 
     /// Time `f` on the registry's clock (the wall by default, a
@@ -478,8 +667,7 @@ impl Scope<'_> {
             }
         };
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let full = format!("{WALLTIME_FAMILY}{}_ns", self.full(name));
-        self.reg.add(full, ns);
+        self.add_walltime_ns(name, ns);
         out
     }
 
@@ -490,8 +678,12 @@ impl Scope<'_> {
             return;
         }
         let ns = (secs.max(0.0) * 1e9).round() as u64;
-        let full = format!("{WALLTIME_FAMILY}{}_ns", self.full(name));
-        self.reg.add(full, ns);
+        self.add_walltime_ns(name, ns);
+    }
+
+    fn add_walltime_ns(&mut self, name: &str, ns: u64) {
+        let id = self.reg.counter_id(&format!("{WALLTIME_FAMILY}{}_ns", self.full(name)));
+        self.reg.add(id, ns);
     }
 }
 
@@ -559,6 +751,18 @@ mod tests {
         assert_eq!(r, 42);
         assert!(reg.is_empty());
         assert!(!reg.enabled());
+    }
+
+    #[test]
+    fn disabled_scopes_allocate_no_prefix() {
+        let mut reg = Registry::disabled();
+        let mut outer = reg.scope("serve");
+        assert_eq!(outer.prefix.capacity(), 0);
+        let mut inner = outer.scope("engine");
+        assert_eq!(inner.prefix.capacity(), 0);
+        inner.incr("requests");
+        assert_eq!(inner.prefix.capacity(), 0, "recording on a disabled scope builds no name");
+        assert!(reg.is_empty());
     }
 
     #[test]
