@@ -17,10 +17,10 @@
 //! delayed chunk is scheduled on a [`DeadlineWheel`] and held while the
 //! *other* direction keeps flowing — a delay on the response path must
 //! not freeze the request path, exactly the head-of-line distinction the
-//! paper's measurements turn on. All waiting goes through a
-//! [`Clock`](beware_runtime::Clock), so a virtual clock replays
-//! multi-minute delay schedules in microseconds of wall time
-//! ([`start_with_clock`](ChaosProxy::start_with_clock)).
+//! paper's measurements turn on. The proxy runs on the wall clock; the
+//! virtual-time replay of long delay schedules goes through
+//! [`FaultyTransport::with_clock`](crate::FaultyTransport::with_clock)
+//! instead.
 
 use crate::rng::{derive_seed, SplitMix};
 use crate::FaultCfg;
@@ -46,21 +46,10 @@ pub struct ChaosProxy {
 
 impl ChaosProxy {
     /// Bind `127.0.0.1:0` and start proxying to `upstream` with the given
-    /// fault schedule. All waits are real time; see
-    /// [`start_with_clock`](ChaosProxy::start_with_clock).
+    /// fault schedule. Every nap, retry backoff and injected-delay
+    /// release deadline runs on the wall clock.
     pub fn start(upstream: SocketAddr, cfg: FaultCfg) -> io::Result<ChaosProxy> {
-        ChaosProxy::start_with_clock(upstream, cfg, WallClock::shared())
-    }
-
-    /// Like [`start`](ChaosProxy::start), but every nap, retry backoff
-    /// and injected-delay release deadline runs on `clock` — hand in a
-    /// [`VirtualClock`](beware_runtime::VirtualClock) handle to replay a
-    /// long delay schedule without waiting it out.
-    pub fn start_with_clock(
-        upstream: SocketAddr,
-        cfg: FaultCfg,
-        clock: SharedClock,
-    ) -> io::Result<ChaosProxy> {
+        let clock = WallClock::shared();
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;

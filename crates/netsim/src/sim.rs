@@ -395,9 +395,7 @@ mod tests {
         }
         impl Agent for ClockAgent {
             fn start(&mut self, ctx: &mut Ctx<'_>) {
-                let h = ctx.clock();
-                assert!(h.is_virtual());
-                self.handle = Some(h);
+                self.handle = Some(ctx.clock());
                 ctx.set_timer(ctx.now() + SimDuration::from_millis(1500), 0);
                 ctx.set_timer(ctx.now() + SimDuration::from_secs(4), 1);
             }

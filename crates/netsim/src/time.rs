@@ -376,7 +376,6 @@ mod tests {
         clock.advance_to(SimTime::from_ns(2_500));
         assert_eq!(clock.now(), SimTime::from_ns(2_500));
         assert_eq!(handle.now(), Duration::from_nanos(2_500), "handle sees the same timeline");
-        assert!(handle.is_virtual());
         // Replaying an older timestamp must not rewind.
         clock.advance_to(SimTime::from_ns(100));
         assert_eq!(clock.now(), SimTime::from_ns(2_500));

@@ -41,14 +41,6 @@ pub trait Clock: std::fmt::Debug + Send + Sync {
     fn since(&self, earlier: Duration) -> Duration {
         self.now().saturating_sub(earlier)
     }
-
-    /// Whether this timeline is simulated. A virtual timeline only moves
-    /// when someone sleeps *on it*, so code that would otherwise park the
-    /// OS thread (an `epoll_wait`, say) must poll-and-nap on the clock
-    /// instead — see [`reactor::make_reactor`](crate::reactor::make_reactor).
-    fn is_virtual(&self) -> bool {
-        false
-    }
 }
 
 /// Real time: [`Clock::now`] is `Instant` elapsed since construction,
@@ -96,32 +88,19 @@ impl Clock for WallClock {
 ///
 /// * [`advance`](VirtualClock::advance) — explicit, from a test driver.
 /// * [`sleep`](Clock::sleep) — a component that would have parked for `d`
-///   instead advances the shared time by `max(d, min_step)` and yields.
-///   `min_step` (default zero: advance by exactly `d`) lets tests of
-///   poll loops with microsecond backoffs fast-forward hour-scale idle
-///   deadlines in a few thousand iterations instead of millions, without
-///   the loops themselves knowing the clock is fake.
+///   instead advances the shared time by exactly `d` and yields.
 ///
 /// Monotonic by construction: time only ever increases, and concurrent
 /// sleepers each atomically bump the shared counter.
 #[derive(Debug, Clone)]
 pub struct VirtualClock {
     ns: Arc<AtomicU64>,
-    min_step_ns: u64,
 }
 
 impl VirtualClock {
-    /// A virtual clock at time zero whose sleeps advance by exactly the
-    /// requested duration.
+    /// A virtual clock at time zero.
     pub fn new() -> VirtualClock {
-        VirtualClock { ns: Arc::new(AtomicU64::new(0)), min_step_ns: 0 }
-    }
-
-    /// A virtual clock whose sleeps advance by at least `step` — the
-    /// accelerator for poll loops with tiny fixed backoffs (see type
-    /// docs). Shares no state with other clocks.
-    pub fn with_min_step(step: Duration) -> VirtualClock {
-        VirtualClock { ns: Arc::new(AtomicU64::new(0)), min_step_ns: duration_to_ns(step) }
+        VirtualClock { ns: Arc::new(AtomicU64::new(0)) }
     }
 
     /// A ready-to-share `Arc<dyn Clock>` view of this clock (sharing the
@@ -149,15 +128,10 @@ impl Clock for VirtualClock {
     }
 
     fn sleep(&self, d: Duration) {
-        let step = duration_to_ns(d).max(self.min_step_ns);
-        saturating_bump(&self.ns, step);
+        saturating_bump(&self.ns, duration_to_ns(d));
         // Let any thread this sleep was politely waiting on actually run;
         // virtual sleeps must not turn poll loops into pure spin.
         std::thread::yield_now();
-    }
-
-    fn is_virtual(&self) -> bool {
-        true
     }
 }
 
@@ -223,19 +197,6 @@ mod tests {
         assert_eq!(c.now(), Duration::from_micros(500));
         c.sleep(Duration::from_secs(200));
         assert_eq!(c.now(), Duration::from_secs(200) + Duration::from_micros(500));
-    }
-
-    #[test]
-    fn min_step_accelerates_small_sleeps_only() {
-        let c = VirtualClock::with_min_step(Duration::from_millis(100));
-        c.sleep(Duration::from_micros(500));
-        assert_eq!(c.now(), Duration::from_millis(100), "small sleeps round up to the step");
-        c.sleep(Duration::from_secs(3));
-        assert_eq!(
-            c.now(),
-            Duration::from_millis(100) + Duration::from_secs(3),
-            "large sleeps advance by the full request"
-        );
     }
 
     #[test]

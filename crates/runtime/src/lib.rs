@@ -34,11 +34,12 @@
 //!   oracle server's shard loop (idle eviction) and the chaos proxy
 //!   (deferred delayed chunks) use in place of ad-hoc `last_active` /
 //!   inline-sleep deadline math.
-//! * [`reactor`] — readiness-driven I/O: a minimal epoll reactor (with
+//! * [`reactor`] — readiness-driven I/O: one Linux epoll reactor (with
 //!   its own `extern "C"` glibc bindings — the build is hermetic, so no
-//!   `mio`/`libc`) plus a clock-paced polling fallback behind one
-//!   [`Reactor`] trait, so the serve path blocks on *I/O or the next
-//!   wheel deadline* instead of napping on a fixed interval.
+//!   `mio`/`libc`), so the serve path blocks on *I/O or the next wheel
+//!   deadline* instead of napping on a fixed interval. The server's
+//!   deadlines fire through `epoll_wait`'s timeout on the wall clock,
+//!   and `tests/serve.rs` waits them out on that same path.
 //! * [`Slot`] — the epoch-swapped publication slot behind zero-downtime
 //!   state swaps: writers publish an immutable `Arc`, per-shard
 //!   [`SlotReader`]s see it with a single acquire load. The serve path
@@ -66,12 +67,7 @@ mod sys;
 pub mod wheel;
 
 pub use clock::{process_cpu_time, Clock, SharedClock, VirtualClock, WallClock};
-#[cfg(target_os = "linux")]
-pub use reactor::EpollReactor;
-pub use reactor::{
-    make_reactor, round_wait_up_to_ms, Event, Interest, PollReactor, Reactor, ReactorKind,
-    StopSignal, Waker,
-};
+pub use reactor::{EpollReactor, Event, Interest, StopSignal, Waker};
 pub use rng::{derive_seed, unit_hash, SplitMix64};
 pub use swap::{Slot, SlotReader};
 pub use wheel::{DeadlineWheel, TimerKey, TimerQueue};

@@ -1,36 +1,20 @@
-//! Readiness-driven I/O: a minimal epoll reactor with a clock-paced
-//! polling fallback.
+//! Readiness-driven I/O: a minimal epoll reactor.
 //!
 //! The serve path used to spin-poll every nonblocking connection under a
 //! read budget with fixed 2 ms naps — fine at hundreds of connections,
-//! ruinous at 100k+ where an idle connection must cost ~zero CPU. A
-//! [`Reactor`] inverts that: the caller registers file descriptors with
-//! an [`Interest`] and then **blocks** in [`Reactor::wait`] until the
-//! kernel reports readiness, another thread rings a [`Waker`], or a
-//! caller-supplied timeout (derived from a
+//! ruinous at 100k+ where an idle connection must cost ~zero CPU. An
+//! [`EpollReactor`] inverts that: the caller registers file descriptors
+//! with an [`Interest`] and then **blocks** in [`EpollReactor::wait`]
+//! until the kernel reports readiness, another thread rings a [`Waker`],
+//! or a caller-supplied timeout (derived from a
 //! [`DeadlineWheel`](crate::DeadlineWheel) next-deadline) elapses.
 //!
-//! Two implementations, one contract:
-//!
-//! * [`EpollReactor`] (Linux) — real readiness from `epoll_wait`, with
-//!   eventfd doorbells for cross-thread wakeups. The handful of glibc
-//!   symbols it needs are declared in the crate's one unsafe module
-//!   (`sys`); everything here is safe code.
-//! * [`PollReactor`] — the retired budgeted poll loop, packaged behind
-//!   the same trait: `wait` naps one bounded step on the injected
-//!   [`Clock`](crate::Clock) and then reports every registration as
-//!   ready ("assume-ready"). Under a
-//!   [`VirtualClock`](crate::VirtualClock) those naps *advance simulated
-//!   time*, which is exactly what the virtual-time suites need — an
-//!   epoll reactor would park the OS thread on a timeline that never
-//!   moves on its own.
-//!
-//! [`make_reactor`] picks between them: an explicit [`ReactorKind`], or
-//! `Auto` — epoll for real time, the polling fallback whenever the clock
-//! is virtual (see [`Clock::is_virtual`](crate::Clock::is_virtual)) or
-//! epoll is unavailable.
+//! There is one reactor, and it is Linux-only: real readiness from
+//! `epoll_wait`, with eventfd doorbells for cross-thread wakeups. The
+//! handful of glibc symbols it needs are declared in the crate's one
+//! unsafe module (`sys`); everything here is safe code. Off Linux,
+//! [`EpollReactor::new`] fails with [`io::ErrorKind::Unsupported`].
 
-use crate::clock::SharedClock;
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,19 +39,9 @@ impl Interest {
     /// Readable and writable.
     pub const BOTH: Interest = Interest(3);
 
-    const EDGE: u8 = 4;
-
     /// Union of two interests.
     pub fn and(self, other: Interest) -> Interest {
         Interest(self.0 | other.0)
-    }
-
-    /// Edge-triggered variant: report a readiness *transition* once
-    /// instead of re-reporting while the condition holds. The epoll
-    /// reactor maps this to `EPOLLET`; the polling fallback has no
-    /// readiness signal to edge on and ignores it.
-    pub fn edge(self) -> Interest {
-        Interest(self.0 | Interest::EDGE)
     }
 
     /// Whether readable events are wanted.
@@ -79,14 +53,9 @@ impl Interest {
     pub fn is_writable(self) -> bool {
         self.0 & 2 != 0
     }
-
-    /// Whether the registration is edge-triggered.
-    pub fn is_edge(self) -> bool {
-        self.0 & Interest::EDGE != 0
-    }
 }
 
-/// One readiness report from [`Reactor::wait`].
+/// One readiness report from [`EpollReactor::wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// The token the fd (or waker) was registered with.
@@ -100,13 +69,12 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A cross-thread doorbell that interrupts [`Reactor::wait`].
+/// A cross-thread doorbell that interrupts [`EpollReactor::wait`].
 ///
-/// On Linux the waker owns an eventfd the epoll reactor registers like
-/// any other fd; everywhere (and for the polling fallback) it also keeps
-/// an atomic flag, so a wake is never lost even when no reactor is
-/// watching the fd. Waking is idempotent and cheap; the flag (and
-/// eventfd counter) reset when the wake is delivered.
+/// On Linux the waker owns an eventfd the reactor registers like any
+/// other fd; it also keeps an atomic flag, so a wake is never lost even
+/// when no reactor is watching the fd. Waking is idempotent and cheap;
+/// the flag (and eventfd counter) reset when the wake is delivered.
 #[derive(Debug)]
 pub struct Waker {
     flag: AtomicBool,
@@ -124,15 +92,17 @@ impl Waker {
         })
     }
 
-    /// Ring: any in-flight or future [`Reactor::wait`] watching this
-    /// waker returns (with the waker's token among the events).
+    /// Ring: any in-flight or future [`EpollReactor::wait`] watching
+    /// this waker returns (with the waker's token among the events).
     pub fn wake(&self) {
         self.flag.store(true, Ordering::SeqCst);
         #[cfg(target_os = "linux")]
         sys::sys_eventfd_signal(self.efd);
     }
 
-    /// Consume a pending wake, if any.
+    /// Consume a pending wake, if any. (Only the epoll reactor consumes
+    /// wakes, so off Linux nothing but the tests calls this.)
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     fn take(&self) -> bool {
         let was = self.flag.swap(false, Ordering::SeqCst);
         #[cfg(target_os = "linux")]
@@ -152,9 +122,10 @@ impl Drop for Waker {
 
 /// A stop flag fused to a set of wakers: one `request_stop` both raises
 /// the flag and rings every subscribed doorbell, so threads blocked in
-/// [`Reactor::wait`] observe the stop promptly instead of at their next
-/// timeout. This is how `ServerHandle::shutdown` (or a `Shutdown` frame
-/// handled on one shard) reaches every other shard and the acceptor.
+/// [`EpollReactor::wait`] observe the stop promptly instead of at their
+/// next timeout. This is how `ServerHandle::shutdown` (or a `Shutdown`
+/// frame handled on one shard) reaches every other shard and the
+/// acceptor.
 #[derive(Debug, Default)]
 pub struct StopSignal {
     stopped: AtomicBool,
@@ -169,17 +140,22 @@ impl StopSignal {
 
     /// Add a doorbell to ring on stop. (If the stop already happened,
     /// ring it immediately — late subscribers must not block forever.)
+    /// The check and the push share the lock `request_stop` raises the
+    /// flag under, so a racing stop either sees this waker or is seen by
+    /// it.
     pub fn subscribe(&self, waker: Arc<Waker>) {
+        let mut wakers = self.wakers.lock().expect("stop signal lock");
         if self.is_stopped() {
             waker.wake();
         }
-        self.wakers.lock().expect("stop signal lock").push(waker);
+        wakers.push(waker);
     }
 
     /// Raise the flag and ring every subscribed waker.
     pub fn request_stop(&self) {
+        let wakers = self.wakers.lock().expect("stop signal lock");
         self.stopped.store(true, Ordering::SeqCst);
-        for w in self.wakers.lock().expect("stop signal lock").iter() {
+        for w in wakers.iter() {
             w.wake();
         }
     }
@@ -190,106 +166,10 @@ impl StopSignal {
     }
 }
 
-/// A readiness source: register fds by token, block in [`wait`] until
-/// something is ready, a [`Waker`] rings, or the timeout passes.
-///
-/// The timeout contract is the wheel⇄reactor seam (DESIGN.md §11): the
-/// caller derives `timeout` as `DeadlineWheel::next_deadline()` minus
-/// `clock.now()`, so a shard sleeps **exactly** until either I/O or
-/// the next deadline it owns — never on a fixed nap.
-///
-/// [`wait`]: Reactor::wait
-pub trait Reactor: Send + std::fmt::Debug {
-    /// Start watching `fd` under `token` with `interest`.
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Change an existing registration's token/interest.
-    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()>;
-
-    /// Stop watching `fd`. Pending events for it are dropped.
-    fn deregister(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
-
-    /// Watch a [`Waker`] under `token`; its wakes surface as events.
-    fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()>;
-
-    /// Block until readiness, a wake, or `timeout` (`None` = forever).
-    /// `events` is cleared and refilled; an empty result means the
-    /// timeout (or a signal) ended the wait.
-    fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()>;
-}
-
-/// Round a wheel-derived wait gap **up** to whole milliseconds — the
-/// wheel⇄reactor conversion of DESIGN.md §11.
-///
-/// Epoll's native timeout granularity is one millisecond, so any
-/// conversion that truncates turns a sub-millisecond gap (deadline a few
-/// hundred µs out) into a zero timeout: `wait` returns immediately, the
-/// wheel pops nothing because the deadline has not passed, and the shard
-/// busy-spins until it does. Rounding up instead wakes at most one
-/// millisecond *after* the deadline — harmless, the wheel pop is
-/// idempotent on "due now or earlier" — and never before it. Callers
-/// converting `DeadlineWheel::next_deadline() - clock.now()` into a
-/// [`Reactor::wait`] timeout must route through this; a zero gap stays
-/// zero (the deadline is already due, an immediate return makes
-/// progress).
-pub fn round_wait_up_to_ms(gap: Duration) -> Duration {
-    Duration::from_millis(u64::try_from(gap.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX))
-}
-
-/// Which reactor [`make_reactor`] builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReactorKind {
-    /// Epoll for wall clocks on Linux; the polling fallback for virtual
-    /// clocks or platforms without epoll.
-    #[default]
-    Auto,
-    /// Force epoll (errors off-Linux).
-    Epoll,
-    /// Force the clock-paced polling fallback.
-    Poll,
-}
-
-/// Build a reactor of `kind` for code paced by `clock`.
-pub fn make_reactor(kind: ReactorKind, clock: &SharedClock) -> io::Result<Box<dyn Reactor>> {
-    match kind {
-        ReactorKind::Poll => Ok(Box::new(PollReactor::new(Arc::clone(clock)))),
-        ReactorKind::Epoll => {
-            #[cfg(target_os = "linux")]
-            {
-                Ok(Box::new(EpollReactor::new()?))
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Err(io::Error::new(io::ErrorKind::Unsupported, "epoll requires Linux"))
-            }
-        }
-        ReactorKind::Auto => {
-            // A virtual timeline only moves when someone sleeps on the
-            // injected clock — parking the OS thread in epoll_wait would
-            // deadlock simulated time, so Auto refuses to.
-            if clock.is_virtual() {
-                return Ok(Box::new(PollReactor::new(Arc::clone(clock))));
-            }
-            #[cfg(target_os = "linux")]
-            {
-                match EpollReactor::new() {
-                    Ok(r) => Ok(Box::new(r)),
-                    Err(_) => Ok(Box::new(PollReactor::new(Arc::clone(clock)))),
-                }
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                Ok(Box::new(PollReactor::new(Arc::clone(clock))))
-            }
-        }
-    }
-}
-
-/// Real readiness from `epoll` (Linux only; see the crate's `sys`
-/// module for the FFI surface and DESIGN.md §11 for the unsafe policy).
-/// Level-triggered by default — unconsumed input re-reports on the next
-/// [`wait`](Reactor::wait), which is what makes per-connection read
-/// budgets safe — with [`Interest::edge`] opting in to `EPOLLET`.
+/// Real readiness from `epoll` (see the crate's `sys` module for the FFI
+/// surface and DESIGN.md §11 for the unsafe policy). Level-triggered:
+/// unconsumed input re-reports on the next [`wait`](EpollReactor::wait),
+/// which is what makes per-connection read budgets safe.
 #[cfg(target_os = "linux")]
 #[derive(Debug)]
 pub struct EpollReactor {
@@ -317,49 +197,44 @@ impl EpollReactor {
         if interest.is_writable() {
             m |= sys::EPOLLOUT;
         }
-        if interest.is_edge() {
-            m |= sys::EPOLLET;
-        }
         m
     }
-}
 
-#[cfg(target_os = "linux")]
-impl Drop for EpollReactor {
-    fn drop(&mut self) {
-        sys::sys_close(self.epfd);
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Reactor for EpollReactor {
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Start watching `fd` under `token` with `interest`.
+    pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, Self::mask(interest), token)
     }
 
-    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    /// Change an existing registration's token/interest.
+    pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, Self::mask(interest), token)
     }
 
-    fn deregister(&mut self, fd: RawFd, _token: u64) -> io::Result<()> {
+    /// Stop watching `fd`. Pending events for it are dropped. (Closing
+    /// the fd deregisters it too.)
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()> {
+    /// Watch a [`Waker`] under `token`; its wakes surface as events.
+    pub fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()> {
         sys::sys_epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, waker.efd, sys::EPOLLIN, token)?;
         self.wakers.push((token, waker));
         Ok(())
     }
 
-    fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
+    /// Block until readiness, a wake, or `timeout` (`None` = forever).
+    /// `events` is cleared and refilled; an empty result means the
+    /// timeout (or a signal) ended the wait.
+    ///
+    /// The timeout is the wheel⇄reactor seam (DESIGN.md §11): the caller
+    /// passes `DeadlineWheel::next_deadline()` minus `clock.now()`
+    /// as-is, and this method rounds it up to epoll's milliseconds, so a
+    /// shard sleeps until either I/O or the next deadline it owns —
+    /// never before that deadline, never on a fixed nap.
+    pub fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
         events.clear();
-        // Round *up* to whole milliseconds so we never wake before the
-        // caller's deadline and spin on a not-yet-due wheel.
-        let timeout_ms = match timeout {
-            None => -1,
-            Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
-        };
-        let n = sys::sys_epoll_wait(self.epfd, &mut self.buf, timeout_ms)?;
+        let n = sys::sys_epoll_wait(self.epfd, &mut self.buf, epoll_timeout_ms(timeout))?;
         for raw in &self.buf[..n] {
             let (mask, token) = (raw.events, raw.data);
             if let Some((_, w)) = self.wakers.iter().find(|(t, _)| *t == token) {
@@ -379,164 +254,116 @@ impl Reactor for EpollReactor {
     }
 }
 
-/// The retired budgeted poll loop behind the [`Reactor`] trait: naps one
-/// bounded step on the injected clock, then reports **every**
-/// registration as ready in registration order ("assume-ready" — the
-/// caller's nonblocking reads/writes discover the truth, exactly as the
-/// old spin loop did). Deterministic-time-compatible: under a
-/// [`VirtualClock`](crate::VirtualClock) the naps advance the simulated
-/// timeline, so wheel deadlines measured on it still fire.
+#[cfg(target_os = "linux")]
+impl Drop for EpollReactor {
+    fn drop(&mut self) {
+        sys::sys_close(self.epfd);
+    }
+}
+
+/// The one wait-gap → epoll conversion: `None` blocks (−1), and a gap
+/// rounds **up** to whole milliseconds, saturating at `i32::MAX`.
+///
+/// A truncating conversion turns a sub-millisecond gap (deadline a few
+/// hundred µs out) into a zero timeout: `wait` returns at once, the
+/// wheel pops nothing because the deadline has not passed, and the shard
+/// busy-spins until it does. Rounding up wakes at most one millisecond
+/// *after* the deadline — harmless, the wheel pop is idempotent on "due
+/// now or earlier" — and never before it. A zero gap stays zero: the
+/// deadline is already due, and an immediate return makes progress.
+#[cfg(target_os = "linux")]
+fn epoll_timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(t) => i32::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
+    }
+}
+
+/// Off Linux there is no epoll: construction fails with
+/// [`io::ErrorKind::Unsupported`], so no value of this type exists.
+#[cfg(not(target_os = "linux"))]
 #[derive(Debug)]
-pub struct PollReactor {
-    clock: SharedClock,
-    step: Duration,
-    registered: Vec<(RawFd, u64, Interest)>,
-    wakers: Vec<(u64, Arc<Waker>)>,
-}
+pub struct EpollReactor(std::convert::Infallible);
 
-impl PollReactor {
-    /// Default pacing step between poll rounds (the old shard loop's
-    /// no-progress nap).
-    pub const DEFAULT_STEP: Duration = Duration::from_micros(500);
-
-    /// A polling reactor paced on `clock` with the default step.
-    pub fn new(clock: SharedClock) -> PollReactor {
-        PollReactor::with_step(clock, PollReactor::DEFAULT_STEP)
+#[cfg(not(target_os = "linux"))]
+#[allow(missing_docs)]
+impl EpollReactor {
+    pub fn new() -> io::Result<EpollReactor> {
+        Err(io::Error::new(io::ErrorKind::Unsupported, "epoll requires Linux"))
     }
 
-    /// A polling reactor with an explicit pacing step.
-    pub fn with_step(clock: SharedClock, step: Duration) -> PollReactor {
-        PollReactor { clock, step, registered: Vec::new(), wakers: Vec::new() }
+    pub fn register(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
+        match self.0 {}
     }
 
-    /// Collect pending wakes into `events`; true if any fired.
-    fn take_wakes(&self, events: &mut Vec<Event>) -> bool {
-        let mut any = false;
-        for (token, w) in &self.wakers {
-            if w.take() {
-                events.push(Event {
-                    token: *token,
-                    readable: false,
-                    writable: false,
-                    hangup: false,
-                });
-                any = true;
-            }
-        }
-        any
-    }
-}
-
-impl Reactor for PollReactor {
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        if self.registered.iter().any(|&(f, _, _)| f == fd) {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
-        }
-        self.registered.push((fd, token, interest));
-        Ok(())
+    pub fn reregister(&mut self, _: RawFd, _: u64, _: Interest) -> io::Result<()> {
+        match self.0 {}
     }
 
-    fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self.registered.iter_mut().find(|(f, _, _)| *f == fd) {
-            Some(slot) => {
-                *slot = (fd, token, interest);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
+    pub fn deregister(&mut self, _: RawFd) -> io::Result<()> {
+        match self.0 {}
     }
 
-    fn deregister(&mut self, fd: RawFd, _token: u64) -> io::Result<()> {
-        let before = self.registered.len();
-        self.registered.retain(|&(f, _, _)| f != fd);
-        if self.registered.len() == before {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        }
-        Ok(())
+    pub fn add_waker(&mut self, _: Arc<Waker>, _: u64) -> io::Result<()> {
+        match self.0 {}
     }
 
-    fn add_waker(&mut self, waker: Arc<Waker>, token: u64) -> io::Result<()> {
-        self.wakers.push((token, waker));
-        Ok(())
-    }
-
-    fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
-        events.clear();
-        // A pending wake short-circuits the nap entirely.
-        if self.take_wakes(events) {
-            return Ok(());
-        }
-        let nap = timeout.map_or(self.step, |t| t.min(self.step));
-        if !nap.is_zero() {
-            self.clock.sleep(nap);
-        }
-        self.take_wakes(events);
-        for &(_, token, interest) in &self.registered {
-            if interest.is_readable() || interest.is_writable() {
-                events.push(Event {
-                    token,
-                    readable: interest.is_readable(),
-                    writable: interest.is_writable(),
-                    hangup: false,
-                });
-            }
-        }
-        Ok(())
+    pub fn wait(&mut self, _: Option<Duration>, _: &mut Vec<Event>) -> io::Result<()> {
+        match self.0 {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, VirtualClock, WallClock};
-    use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-    use std::time::Instant;
 
-    /// A connected loopback pair (both ends blocking).
-    fn tcp_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        a.set_nodelay(true).unwrap();
-        b.set_nodelay(true).unwrap();
-        (a, b)
-    }
-
-    fn events_for(events: &[Event], token: u64) -> Vec<Event> {
-        events.iter().copied().filter(|e| e.token == token).collect()
-    }
-
+    #[cfg(target_os = "linux")]
     #[test]
     fn sub_millisecond_gaps_round_up_never_down() {
         // The regression of record: a deadline 300 µs out must convert to
         // a ≥ 1 ms wait, not truncate to 0 and busy-spin.
-        assert_eq!(round_wait_up_to_ms(Duration::from_micros(300)), Duration::from_millis(1));
-        assert_eq!(round_wait_up_to_ms(Duration::ZERO), Duration::ZERO);
-        assert_eq!(round_wait_up_to_ms(Duration::from_millis(4)), Duration::from_millis(4));
-        assert_eq!(
-            round_wait_up_to_ms(Duration::from_millis(4) + Duration::from_nanos(1)),
-            Duration::from_millis(5)
-        );
-        assert_eq!(round_wait_up_to_ms(Duration::MAX), Duration::from_millis(u64::MAX));
+        let ms = |d: Duration| epoll_timeout_ms(Some(d));
+        assert_eq!(ms(Duration::ZERO), 0);
+        assert_eq!(ms(Duration::from_micros(300)), 1);
+        assert_eq!(ms(Duration::from_millis(4)), 4);
+        assert_eq!(ms(Duration::from_millis(4) + Duration::from_nanos(1)), 5);
+        assert_eq!(ms(Duration::MAX), i32::MAX);
+        assert_eq!(epoll_timeout_ms(None), -1);
     }
 
     #[cfg(target_os = "linux")]
     mod epoll {
         use super::*;
+        use std::io::{Read, Write};
+        use std::net::{TcpListener, TcpStream};
+        use std::os::fd::AsRawFd;
+        use std::time::Instant;
+
+        /// A connected loopback pair (both ends blocking).
+        fn tcp_pair() -> (TcpStream, TcpStream) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let a = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (b, _) = listener.accept().unwrap();
+            a.set_nodelay(true).unwrap();
+            b.set_nodelay(true).unwrap();
+            (a, b)
+        }
+
+        fn events_for(events: &[Event], token: u64) -> Vec<Event> {
+            events.iter().copied().filter(|e| e.token == token).collect()
+        }
 
         #[test]
         fn rounded_sub_ms_wait_does_not_wake_before_the_deadline() {
-            // End-to-end over the seam: a wheel deadline 300 µs out, the
-            // round-up conversion, a real epoll wait with nothing ready.
-            // A truncating conversion returns in microseconds (the spin);
-            // the contract requires sleeping past the deadline.
+            // End-to-end over the seam: a wheel deadline 300 µs out, a
+            // real epoll wait with nothing ready. A truncating conversion
+            // returns in microseconds (the spin); the contract requires
+            // sleeping past the deadline.
             let mut r = EpollReactor::new().unwrap();
             let mut events = Vec::new();
             let gap = Duration::from_micros(300);
             let start = Instant::now();
-            r.wait(Some(round_wait_up_to_ms(gap)), &mut events).unwrap();
+            r.wait(Some(gap), &mut events).unwrap();
             assert!(events.is_empty());
             assert!(
                 start.elapsed() >= gap,
@@ -569,25 +396,6 @@ mod tests {
         }
 
         #[test]
-        fn edge_triggered_reports_once_per_burst() {
-            let (mut a, b) = tcp_pair();
-            let mut r = EpollReactor::new().unwrap();
-            r.register(b.as_raw_fd(), 9, Interest::READABLE.edge()).unwrap();
-            a.write_all(b"x").unwrap();
-
-            let mut events = Vec::new();
-            r.wait(Some(Duration::from_secs(2)), &mut events).unwrap();
-            assert_eq!(events_for(&events, 9).len(), 1);
-            // Nothing consumed, but no new burst: edge mode stays quiet.
-            r.wait(Some(Duration::from_millis(50)), &mut events).unwrap();
-            assert!(events_for(&events, 9).is_empty(), "edge re-reported: {events:?}");
-            // A fresh burst re-arms it.
-            a.write_all(b"y").unwrap();
-            r.wait(Some(Duration::from_secs(2)), &mut events).unwrap();
-            assert_eq!(events_for(&events, 9).len(), 1);
-        }
-
-        #[test]
         fn deregister_while_armed_silences_the_fd() {
             // A pipe with data in flight is armed; deregistering must
             // drop it from every later wait.
@@ -600,7 +408,7 @@ mod tests {
             r.wait(Some(Duration::from_secs(2)), &mut events).unwrap();
             assert_eq!(events_for(&events, 3).len(), 1);
 
-            r.deregister(reader.as_raw_fd(), 3).unwrap();
+            r.deregister(reader.as_raw_fd()).unwrap();
             r.wait(Some(Duration::from_millis(50)), &mut events).unwrap();
             assert!(events.is_empty(), "deregistered fd still reported: {events:?}");
         }
@@ -664,46 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_fallback_reports_registrations_and_paces_on_the_clock() {
-        let vc = VirtualClock::new();
-        let mut r = PollReactor::with_step(vc.handle(), Duration::from_millis(10));
-        r.register(0, 11, Interest::READABLE).unwrap();
-        r.register(1, 12, Interest::BOTH).unwrap();
-        r.register(2, 13, Interest::NONE).unwrap();
-
-        let mut events = Vec::new();
-        r.wait(Some(Duration::from_secs(60)), &mut events).unwrap();
-        assert_eq!(vc.now(), Duration::from_millis(10), "one pacing step of virtual time");
-        assert_eq!(events.len(), 2, "NONE interest stays silent: {events:?}");
-        assert!(events_for(&events, 11)[0].readable);
-        let both = events_for(&events, 12)[0];
-        assert!(both.readable && both.writable);
-
-        // Timeouts below the step clamp the nap: a wheel deadline 2 ms
-        // out must not be overslept by 10 ms.
-        r.wait(Some(Duration::from_millis(2)), &mut events).unwrap();
-        assert_eq!(vc.now(), Duration::from_millis(12));
-
-        r.deregister(1, 12).unwrap();
-        r.wait(Some(Duration::from_millis(10)), &mut events).unwrap();
-        assert!(events_for(&events, 12).is_empty(), "deregistered fd still reported");
-    }
-
-    #[test]
-    fn poll_fallback_wake_short_circuits_the_nap() {
-        let vc = VirtualClock::new();
-        let mut r = PollReactor::with_step(vc.handle(), Duration::from_millis(10));
-        let waker = Arc::new(Waker::new().unwrap());
-        r.add_waker(Arc::clone(&waker), 99).unwrap();
-        waker.wake();
-        let mut events = Vec::new();
-        r.wait(Some(Duration::from_secs(60)), &mut events).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].token, 99);
-        assert_eq!(vc.now(), Duration::ZERO, "a pending wake must skip the nap");
-    }
-
-    #[test]
     fn stop_signal_raises_flag_and_rings_every_subscriber() {
         let stop = StopSignal::new();
         let a = Arc::new(Waker::new().unwrap());
@@ -724,19 +492,25 @@ mod tests {
     }
 
     #[test]
-    fn auto_kind_respects_virtual_clocks() {
-        let wall = WallClock::shared();
-        let virt = VirtualClock::new().handle();
-        let for_wall = make_reactor(ReactorKind::Auto, &wall).unwrap();
-        let for_virt = make_reactor(ReactorKind::Auto, &virt).unwrap();
-        let name = |r: &Box<dyn Reactor>| format!("{r:?}");
-        #[cfg(target_os = "linux")]
-        assert!(name(&for_wall).starts_with("EpollReactor"), "{for_wall:?}");
-        #[cfg(not(target_os = "linux"))]
-        assert!(name(&for_wall).starts_with("PollReactor"), "{for_wall:?}");
-        assert!(
-            name(&for_virt).starts_with("PollReactor"),
-            "virtual time must never park in epoll: {for_virt:?}"
-        );
+    fn subscribe_racing_a_stop_is_always_rung() {
+        // A stop landing between a subscriber's flag check and its push
+        // must not skip the new waker: whichever side takes the lock
+        // second rings it. The barrier releases both sides together, so
+        // both orders occur.
+        for round in 0..10_000 {
+            let stop = StopSignal::new();
+            let waker = Arc::new(Waker::new().unwrap());
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    start.wait();
+                    stop.request_stop();
+                });
+                start.wait();
+                stop.subscribe(Arc::clone(&waker));
+            });
+            assert!(stop.is_stopped());
+            assert!(waker.take(), "round {round}: a subscriber missed the stop");
+        }
     }
 }

@@ -157,6 +157,17 @@ mod tests {
     }
 
     #[test]
+    fn from_impls_wrap_as_version_one() {
+        let value = Arc::new(3u64);
+        let from_arc: Slot<u64> = Arc::clone(&value).into();
+        assert_eq!(from_arc.version(), 1);
+        assert!(Arc::ptr_eq(&from_arc.current(), &value), "From<Arc<T>> must not re-wrap");
+        let from_value: Slot<u64> = 4u64.into();
+        assert_eq!(from_value.version(), 1);
+        assert_eq!(*from_value.current(), 4);
+    }
+
+    #[test]
     fn concurrent_readers_always_see_old_or_new() {
         let slot = Slot::new(Arc::new(1u64));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

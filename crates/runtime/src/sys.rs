@@ -31,7 +31,6 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
-pub const EPOLLET: u32 = 1 << 31;
 
 /// `EPOLL_CLOEXEC` / `EFD_CLOEXEC` are both `O_CLOEXEC`.
 const CLOEXEC: c_int = 0o2000000;

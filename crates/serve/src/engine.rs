@@ -27,9 +27,8 @@
 //! item 1) gets its transport seam here too: a remote-peer transport is
 //! just another `Transport` impl.
 
-use crate::oracle::{LookupError, Oracle};
+use crate::oracle::{LookupError, Oracle, OracleHandle, OracleReader};
 use crate::proto::{self, ErrorCode, Message, ProtoError, ReloadKind, Status};
-use crate::swap::{OracleHandle, OracleReader};
 use beware_dataset::snapshot::{
     prefix_mask, read_delta, read_snapshot, snapshot_checksum, SnapshotError,
 };

@@ -35,7 +35,6 @@ pub mod loadgen;
 pub mod oracle;
 pub mod proto;
 pub mod server;
-pub mod swap;
 
 pub use builder::{build_snapshot, SnapshotCfg};
 pub use client::{Answer, Client, ClientError, ServerStats, SnapshotInfo};
@@ -43,7 +42,6 @@ pub use engine::{
     channel_pair, ChannelPeer, ChannelTransport, Conn, Engine, EngineCore, Transport,
 };
 pub use loadgen::{LoadCfg, LoadReport, ReloadCfg, ReloadReport};
-pub use oracle::{Lookup, LookupError, Oracle, OracleError};
+pub use oracle::{Lookup, LookupError, Oracle, OracleError, OracleHandle, OracleReader};
 pub use proto::{ErrorCode, Message, ProtoError, ReloadKind, Status, PROTO_VERSION};
 pub use server::{start, ConfigError, ServerCfg, ServerCfgBuilder, ServerHandle};
-pub use swap::{OracleHandle, OracleReader};

@@ -155,20 +155,11 @@ fn percentile(sorted_us: &[u64], q: f64) -> u64 {
 }
 
 /// Run the load against a server at `addr`, stamping latencies and the
-/// measured window on the wall clock.
+/// measured window on the wall clock. Worker address streams draw from
+/// the workspace's canonical SplitMix64 (`beware_runtime::rng`), so the
+/// query sequence per `(seed, worker)` is fixed.
 pub fn run(addr: SocketAddr, cfg: &LoadCfg) -> Result<LoadReport, String> {
-    run_with_clock(addr, cfg, WallClock::shared())
-}
-
-/// [`run`] with every RTT stamp and the wall window measured on `clock`.
-/// Worker address streams draw from the workspace's canonical SplitMix64
-/// (`beware_runtime::rng`), so the query sequence per `(seed, worker)` is
-/// clock-independent.
-pub fn run_with_clock(
-    addr: SocketAddr,
-    cfg: &LoadCfg,
-    clock: SharedClock,
-) -> Result<LoadReport, String> {
+    let clock = WallClock::shared();
     if cfg.workers == 0 || cfg.requests_per_worker == 0 {
         return Err("workers and requests_per_worker must be >= 1".into());
     }
@@ -496,7 +487,7 @@ pub fn run_mass(addr: SocketAddr, cfg: &MassCfg) -> Result<MassReport, String> {
         report_rtts: false,
     };
     let hot_cpu0 = process_cpu_time();
-    let load = run_with_clock(addr, &load_cfg, Arc::clone(&clock))?;
+    let load = run(addr, &load_cfg)?;
     let cpu_per_request_us = match (hot_cpu0, process_cpu_time()) {
         (Some(a), Some(b)) if load.requests > 0 => {
             Some(b.saturating_sub(a).as_secs_f64() * 1e6 / load.requests as f64)

@@ -11,6 +11,7 @@
 use crate::proto::Status;
 use beware_asdb::PrefixTrie;
 use beware_dataset::snapshot::{snapshot_checksum, SnapshotError, TimeoutSnapshot};
+use beware_runtime::swap::{Slot, SlotReader};
 
 /// Why an [`Oracle`] could not be built.
 ///
@@ -107,6 +108,18 @@ pub struct Oracle {
     /// delta reload's base check compares against.
     checksum: u64,
 }
+
+/// Shared, swappable access to the serving oracle — the runtime's
+/// epoch-swap [`Slot`] behind zero-downtime reloads (DESIGN.md §12).
+/// Cheap to clone; all clones publish to and read from the same slot.
+/// Its version is the "snapshot version" the admin plane reports: 1 at
+/// boot, +1 per successful publish.
+pub type OracleHandle = Slot<Oracle>;
+
+/// One shard's cached view of the [`OracleHandle`]: one acquire load per
+/// request unless a publish happened. Not `Sync` by design: each shard
+/// owns one.
+pub type OracleReader = SlotReader<Oracle>;
 
 impl Oracle {
     /// Build from a validated snapshot.

@@ -2,17 +2,16 @@
 //! server.
 //!
 //! One acceptor thread distributes connections round-robin to `shards`
-//! worker threads. Each shard owns its connections outright — a
-//! [`Reactor`] (epoll on Linux, clock-paced polling under a virtual
-//! clock), per-connection reassembly buffers, a per-shard answer cache,
-//! and a per-shard [`Registry`] — so the hot path takes no locks and
-//! shares no mutable state beyond three global stats counters. Shard
-//! registries are merged **in fixed shard order** when the server stops,
-//! so the deterministic metric families are byte-identical no matter how
-//! connections were scheduled (the scheduling-dependent counters —
-//! cache hits, idle closures, wakeup counts, per-shard assignment —
-//! live under the `sched/` family, which the JSON export excludes; see
-//! DESIGN.md §8).
+//! worker threads. Each shard owns its connections outright — an
+//! [`EpollReactor`] (Linux only), per-connection reassembly buffers, a
+//! per-shard answer cache, and a per-shard [`Registry`] — so the hot
+//! path takes no locks and shares no mutable state beyond three global
+//! stats counters. Shard registries are merged **in fixed shard order**
+//! when the server stops, so the deterministic metric families are
+//! byte-identical no matter how connections were scheduled (the
+//! scheduling-dependent counters — cache hits, idle closures, wakeup
+//! counts, per-shard assignment — live under the `sched/` family, which
+//! the JSON export excludes; see DESIGN.md §8).
 //!
 //! The protocol state machine itself lives in [`crate::engine`], behind
 //! the [`Transport`](crate::engine::Transport) seam: this module is only
@@ -20,14 +19,15 @@
 //! interest flips, the idle wheel. `beware simserve` runs the same
 //! [`Engine`] over in-memory channels inside netsim.
 //!
-//! **Nobody spins.** A shard blocks in [`Reactor::wait`] with a timeout
-//! derived from its [`DeadlineWheel`] next deadline (idle eviction, the
-//! shutdown drain bound), so an idle connection costs ~zero CPU: the
-//! shard wakes on I/O readiness, on an eventfd ring from the acceptor
-//! (new connection) or a [`StopSignal`] (shutdown), or when a deadline
-//! it owns comes due — never on a fixed nap (DESIGN.md §11). Interest
-//! flips between readable and writable as a connection's output queue
-//! fills and drains.
+//! **Nobody spins.** A shard blocks in [`EpollReactor::wait`] with a
+//! timeout derived from its [`DeadlineWheel`] next deadline on the wall
+//! clock (idle eviction, the reload poll, the shutdown drain bound), so
+//! an idle connection costs ~zero CPU: the shard wakes on I/O
+//! readiness, on an eventfd ring from the acceptor (new connection) or
+//! a [`StopSignal`] (shutdown), or when a deadline it owns comes due —
+//! never on a fixed nap (DESIGN.md §11). Interest flips between
+//! readable and writable as a connection's output queue fills and
+//! drains.
 //!
 //! No peer can make a shard wait (DESIGN.md §9). Replies go through a
 //! **bounded per-connection output queue** drained on writability with
@@ -42,14 +42,11 @@
 //! overflows) are counted under the nondeterministic `faults/` family.
 
 use crate::engine::{Conn, Engine, EngineCore, OUT_QUEUE_CAP};
+use crate::oracle::OracleHandle;
 use crate::proto;
-use crate::swap::OracleHandle;
 use beware_policy::PolicyKind;
 use beware_runtime::clock::{SharedClock, WallClock};
-pub use beware_runtime::reactor::ReactorKind;
-use beware_runtime::reactor::{
-    make_reactor, round_wait_up_to_ms, Event, Interest, Reactor, StopSignal, Waker,
-};
+use beware_runtime::reactor::{EpollReactor, Event, Interest, StopSignal, Waker};
 use beware_runtime::wheel::DeadlineWheel;
 use beware_telemetry::Registry;
 use std::collections::HashMap;
@@ -86,16 +83,6 @@ pub struct ServerCfg {
     pub out_queue_cap: usize,
     /// Whether telemetry is recorded.
     pub metrics: bool,
-    /// Time source for every deadline and stamp in the server. Wall
-    /// time by default; a [`VirtualClock`](beware_runtime::VirtualClock)
-    /// handle makes hour-scale idle timeouts testable in milliseconds.
-    pub clock: SharedClock,
-    /// Readiness source for every shard and the acceptor.
-    /// [`ReactorKind::Auto`] (the default) picks epoll for wall clocks
-    /// and the clock-paced polling fallback for virtual ones — epoll
-    /// would park the OS thread on a timeline that never moves on its
-    /// own.
-    pub reactor: ReactorKind,
     /// Snapshot source for hot reloads: the file `Reload` admin frames
     /// (and the poller, if enabled) load from — a full `.bwts` snapshot
     /// or a `.bwtd` delta. `None` disables the reload plane; `Reload`
@@ -124,8 +111,6 @@ impl Default for ServerCfg {
             drain_timeout: Duration::from_millis(500),
             out_queue_cap: OUT_QUEUE_CAP,
             metrics: true,
-            clock: WallClock::shared(),
-            reactor: ReactorKind::Auto,
             reload_from: None,
             reload_poll: None,
             policy: None,
@@ -185,18 +170,6 @@ impl ServerCfgBuilder {
     /// See [`ServerCfg::metrics`].
     pub fn metrics(mut self, on: bool) -> Self {
         self.cfg.metrics = on;
-        self
-    }
-
-    /// See [`ServerCfg::clock`].
-    pub fn clock(mut self, clock: SharedClock) -> Self {
-        self.cfg.clock = clock;
-        self
-    }
-
-    /// See [`ServerCfg::reactor`].
-    pub fn reactor(mut self, kind: ReactorKind) -> Self {
-        self.cfg.reactor = kind;
         self
     }
 
@@ -316,7 +289,7 @@ impl ServerHandle {
     /// Request shutdown from in-process (equivalent to a `Shutdown`
     /// frame): raises the stop flag and rings every shard's and the
     /// acceptor's wakeup doorbell, so threads blocked in
-    /// [`Reactor::wait`] notice immediately.
+    /// [`EpollReactor::wait`] notice immediately.
     pub fn shutdown(&self) {
         self.stop.request_stop();
     }
@@ -365,6 +338,7 @@ pub fn start(
     let core =
         Arc::new(EngineCore::new(oracle, Arc::clone(&stop), cfg.policy, cfg.reload_from.clone()));
     let handle = core.oracle().clone();
+    let clock = WallClock::shared();
 
     // Reactors and doorbells are created here, not in the threads, so a
     // resource failure (fd limit, unsupported platform) surfaces as an
@@ -374,33 +348,33 @@ pub fn start(
     for shard_index in 0..shards {
         let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
         let waker = Arc::new(Waker::new()?);
-        let mut reactor = make_reactor(cfg.reactor, &cfg.clock)?;
+        let mut reactor = EpollReactor::new()?;
         reactor.add_waker(Arc::clone(&waker), WAKER_TOKEN)?;
         stop.subscribe(Arc::clone(&waker));
         senders.push((tx, waker));
-        let engine = core.engine(Arc::clone(&cfg.clock), cfg.out_queue_cap);
+        let engine = core.engine(Arc::clone(&clock), cfg.out_queue_cap);
         // One reload poller per server, riding shard 0's wheel; every
         // shard can still execute an admin `Reload`.
         let schedule_poll =
             shard_index == 0 && core.reload_source().is_some() && cfg.reload_poll.is_some();
         let stop = Arc::clone(&stop);
+        let clock = Arc::clone(&clock);
         let cfg = cfg.clone();
         shard_handles.push(std::thread::spawn(move || {
-            shard_loop(rx, reactor, engine, schedule_poll, stop, &cfg)
+            shard_loop(rx, reactor, engine, schedule_poll, stop, clock, &cfg)
         }));
     }
 
     let acceptor_waker = Arc::new(Waker::new()?);
-    let mut acceptor_reactor = make_reactor(cfg.reactor, &cfg.clock)?;
+    let mut acceptor_reactor = EpollReactor::new()?;
     acceptor_reactor.add_waker(Arc::clone(&acceptor_waker), WAKER_TOKEN)?;
     acceptor_reactor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
     stop.subscribe(acceptor_waker);
 
     let stop_a = Arc::clone(&stop);
     let metrics = cfg.metrics;
-    let clock = Arc::clone(&cfg.clock);
     let acceptor = std::thread::spawn(move || {
-        acceptor_loop(listener, acceptor_reactor, senders, stop_a, metrics, clock)
+        acceptor_loop(listener, acceptor_reactor, senders, stop_a, metrics)
     });
 
     Ok(ServerHandle { addr, stop, oracle: handle, acceptor: Some(acceptor), shards: shard_handles })
@@ -414,11 +388,10 @@ pub fn start(
 /// into a hot loop (`EMFILE` reports the listener readable forever).
 fn acceptor_loop(
     listener: TcpListener,
-    mut reactor: Box<dyn Reactor>,
+    mut reactor: EpollReactor,
     senders: Vec<(Sender<TcpStream>, Arc<Waker>)>,
     stop: Arc<StopSignal>,
     metrics: bool,
-    clock: SharedClock,
 ) -> Registry {
     let mut reg = if metrics { Registry::new() } else { Registry::disabled() };
     let mut next = 0usize;
@@ -461,7 +434,7 @@ fn acceptor_loop(
                     // Error backoff (fd exhaustion, ENOMEM): the pending
                     // connection keeps the listener readable, so waiting
                     // on the reactor would return instantly and spin.
-                    clock.sleep(Duration::from_millis(2));
+                    std::thread::sleep(Duration::from_millis(2));
                 }
             }
         }
@@ -474,7 +447,7 @@ fn acceptor_loop(
 /// re-registration is unrecoverable for the connection (the reactor has
 /// lost track of it), so it is closed and counted.
 fn sync_interest(
-    reactor: &mut Box<dyn Reactor>,
+    reactor: &mut EpollReactor,
     conn: &mut Conn<TcpStream>,
     draining: bool,
     reg: &mut Registry,
@@ -498,13 +471,13 @@ const RELOAD_WHEEL_KEY: u64 = u64::MAX;
 
 fn shard_loop(
     rx: Receiver<TcpStream>,
-    mut reactor: Box<dyn Reactor>,
+    mut reactor: EpollReactor,
     mut engine: Engine,
     schedule_poll: bool,
     stop: Arc<StopSignal>,
+    clock: SharedClock,
     cfg: &ServerCfg,
 ) -> Registry {
-    let clock = Arc::clone(&cfg.clock);
     let mut reg = if cfg.metrics { Registry::new() } else { Registry::disabled() };
     let mut conns: HashMap<u64, Conn<TcpStream>> = HashMap::new();
     // The gauge exists on every shard so the merged export is identical
@@ -512,7 +485,7 @@ fn shard_loop(
     reg.scope("oracle").gauge_max("snapshot_version", engine.snapshot_version());
     // Every idle deadline on this shard lives in one wheel, keyed by
     // connection id: scheduled on adoption, pushed out on read activity,
-    // popped (→ eviction) when simulated-or-real time passes it. Its
+    // popped (→ eviction) when the wall clock passes it. Its
     // next deadline is also the shard's wait timeout — the wheel⇄reactor
     // contract (DESIGN.md §11).
     let mut wheel: DeadlineWheel<u64> = DeadlineWheel::new();
@@ -579,17 +552,13 @@ fn shard_loop(
                 }
             }
         }
+        // Dropping a closed connection closes its fd, which also removes
+        // it from epoll.
         conns.retain(|id, c| {
-            if c.open {
-                true
-            } else {
-                // Deregister before the fd closes on drop so the
-                // fallback reactor's table stays truthful (epoll drops
-                // closed fds on its own).
-                let _ = reactor.deregister(c.transport().as_raw_fd(), *id);
+            if !c.open {
                 wheel.cancel(id);
-                false
             }
+            c.open
         });
 
         if let Some(deadline) = drain_deadline {
@@ -607,11 +576,8 @@ fn shard_loop(
         if let Some(d) = drain_deadline {
             next_deadline = Some(next_deadline.map_or(d, |n| n.min(d)));
         }
-        // Round the gap up to whole milliseconds at the conversion site:
-        // epoll timeouts are millisecond-granular, and a truncating
-        // conversion turns a deadline a few hundred µs out into a zero
-        // timeout that spins until it passes.
-        let timeout = next_deadline.map(|at| round_wait_up_to_ms(at.saturating_sub(clock.now())));
+        // `wait` rounds the gap up to epoll's milliseconds.
+        let timeout = next_deadline.map(|at| at.saturating_sub(clock.now()));
         if reactor.wait(timeout, &mut events).is_err() {
             // A broken reactor cannot deliver another event; abandoning
             // the shard beats spinning on the error.

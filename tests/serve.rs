@@ -2,7 +2,9 @@
 //! snapshot, the snapshot is served over TCP, and concurrent clients must
 //! receive answers that byte-match the offline analysis. Also pins the
 //! determinism contract: the metrics JSON export is byte-identical across
-//! shard counts.
+//! shard counts, and waits out the server's own deadlines — idle
+//! eviction, the shutdown drain bound, the scheduled reload poll — on the
+//! wall clock, through `epoll_wait`'s timeout, the path production runs.
 
 use beware::analysis::percentile::LatencySamples;
 use beware::analysis::pipeline::{run_pipeline, PipelineCfg};
@@ -13,10 +15,10 @@ use beware::probe::prelude::*;
 use beware::serve::proto;
 use beware::serve::{build_snapshot, server, Client, Message, Oracle, SnapshotCfg, Status};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Simulated campaign → filtered per-address samples.
 fn campaign_samples() -> BTreeMap<u32, LatencySamples> {
@@ -27,6 +29,37 @@ fn campaign_samples() -> BTreeMap<u32, LatencySamples> {
     let mut world = sc.build_world();
     let ((records, _), _) = cfg.build(Vec::new()).run(&mut world);
     run_pipeline(&records, &PipelineCfg::default()).samples
+}
+
+/// A small hand-built snapshot — enough structure for the server to
+/// answer fallback queries, cheap enough to build per test.
+fn tiny_oracle() -> Arc<Oracle> {
+    let mut samples = BTreeMap::new();
+    for i in 0..8u32 {
+        samples.insert(
+            0x0a00_0100 + i,
+            LatencySamples::from_values(vec![0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0]),
+        );
+    }
+    let snap = build_snapshot(&samples, &SnapshotCfg::default()).unwrap();
+    Arc::new(Oracle::from_snapshot(snap).unwrap())
+}
+
+/// Generous ceiling on how long any sub-second server deadline may take
+/// to fire on a loaded machine.
+const DEADLINE_CEILING: Duration = Duration::from_secs(10);
+
+/// Block until the server closes `s` (EOF or reset), failing on any
+/// unsolicited byte or on `DEADLINE_CEILING` passing first.
+fn await_server_close(s: &TcpStream) {
+    s.set_read_timeout(Some(DEADLINE_CEILING)).unwrap();
+    let mut buf = [0u8; 8];
+    match (&*s).read(&mut buf) {
+        Ok(0) => {}
+        Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+        Ok(n) => panic!("server sent {n} unsolicited bytes"),
+        Err(e) => panic!("never evicted: read ended with {e} instead of a close"),
+    }
 }
 
 fn serve_cfg(shards: usize) -> server::ServerCfg {
@@ -224,4 +257,189 @@ fn metrics_export_identical_across_shard_counts() {
     // Scheduling-dependent families must stay out of the export.
     assert!(!single.contains("sched/"));
     assert!(!single.contains("walltime/"));
+}
+
+/// Bounded listen, applied to ourselves: a connection that stays silent
+/// past the idle timeout is evicted when `epoll_wait`'s wheel-derived
+/// timeout fires — not before the deadline, and not much after it.
+#[test]
+fn idle_eviction_fires_after_the_idle_timeout() {
+    let idle = Duration::from_millis(200);
+    let cfg = server::ServerCfg::builder()
+        .shards(1)
+        .idle_timeout(idle)
+        .drain_timeout(Duration::from_secs(5))
+        .metrics(true)
+        .build()
+        .unwrap();
+    let handle = server::start(tiny_oracle(), "127.0.0.1:0", cfg).unwrap();
+
+    // Connect and go silent. The server must give up on us.
+    let t0 = Instant::now();
+    let s = TcpStream::connect(handle.local_addr()).unwrap();
+    await_server_close(&s);
+    let waited = t0.elapsed();
+    assert!(waited >= idle, "evicted after only {waited:?}");
+    assert!(waited <= DEADLINE_CEILING, "eviction took {waited:?}");
+
+    handle.shutdown();
+    let metrics = handle.join();
+    assert_eq!(metrics.counter("sched/serve/idle_closed"), Some(1));
+    drop(s);
+}
+
+/// Activity pushes an idle deadline out: a connection that queries every
+/// 50 ms for a second outlives a 300 ms idle timeout and gets every
+/// answer, while its silent sibling on the same shard is evicted.
+#[test]
+fn activity_pushes_the_idle_deadline_out() {
+    let cfg = server::ServerCfg::builder()
+        .shards(1)
+        .idle_timeout(Duration::from_millis(300))
+        .metrics(true)
+        .build()
+        .unwrap();
+    let handle = server::start(tiny_oracle(), "127.0.0.1:0", cfg).unwrap();
+    let addr = handle.local_addr();
+
+    let silent = TcpStream::connect(addr).unwrap();
+    let mut active = Client::connect_retry(addr, Duration::from_secs(5), Duration::from_secs(2))
+        .expect("connect");
+    let t0 = Instant::now();
+    let mut answered = 0;
+    while t0.elapsed() < Duration::from_secs(1) {
+        let ans = active.query(0x0a00_0101, 950, 950).expect("active connection was evicted");
+        assert_eq!(ans.status, Status::Exact);
+        answered += 1;
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(answered >= 10, "only {answered} queries in a second");
+    // Close the active connection at once, so only the silent one can
+    // ever have idled out.
+    drop(active);
+    await_server_close(&silent);
+
+    handle.shutdown();
+    let metrics = handle.join();
+    assert_eq!(metrics.counter("sched/serve/idle_closed"), Some(1));
+}
+
+/// The shutdown drain deadline: a peer that floods queries and never
+/// reads a reply leaves a backlog that can never drain, so `join` must
+/// return only because the drain bound elapsed — not because the peer
+/// relented (it never does).
+#[test]
+fn shutdown_drain_deadline_elapses() {
+    let drain = Duration::from_millis(300);
+    let cfg = server::ServerCfg::builder()
+        .shards(1)
+        .idle_timeout(Duration::from_secs(60))
+        .drain_timeout(drain)
+        .out_queue_cap(256 << 20)
+        .metrics(true)
+        .build()
+        .unwrap();
+    let handle = server::start(tiny_oracle(), "127.0.0.1:0", cfg).unwrap();
+
+    // Flood 32 MiB of frame-aligned queries, never reading a reply: the
+    // replies overflow both socket buffers and pile into the (huge here)
+    // output queue, guaranteeing a backlog when shutdown arrives.
+    let s = TcpStream::connect(handle.local_addr()).unwrap();
+    s.set_nonblocking(true).unwrap();
+    let frame = proto::encode(&Message::Query {
+        addr: 0x0a00_0001,
+        addr_pct_tenths: 950,
+        ping_pct_tenths: 950,
+    });
+    let burst: Vec<u8> = frame.iter().copied().cycle().take(frame.len() * 4800).collect();
+    let (mut sent, mut off) = (0usize, 0usize);
+    let flood_t0 = Instant::now();
+    while sent < 32 << 20 {
+        assert!(
+            flood_t0.elapsed() < Duration::from_secs(30),
+            "server stopped consuming the flood after {sent} bytes"
+        );
+        match (&s).write(&burst[off..]) {
+            Ok(0) => panic!("flood socket wedged"),
+            Ok(n) => {
+                sent += n;
+                off = (off + n) % burst.len();
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("flood connection died early: {e}"),
+        }
+    }
+
+    let t_shutdown = Instant::now();
+    handle.shutdown();
+    let metrics = handle.join();
+    let drained_for = t_shutdown.elapsed();
+    assert!(
+        drained_for >= drain,
+        "join returned after only {drained_for:?} of drain — the deadline cannot have fired"
+    );
+    assert!(drained_for <= DEADLINE_CEILING, "drain took {drained_for:?}");
+    assert!(
+        metrics.counter("faults/serve/write_backpressure").unwrap_or(0) > 0,
+        "the stalled peer never exerted backpressure — nothing was drained against"
+    );
+    assert!(metrics.counter("serve/queries").unwrap_or(0) > 0);
+    drop(s);
+}
+
+/// A wheel-scheduled snapshot reload: `reload_poll` arms a deadline on
+/// shard 0's wheel, `epoll_wait` times out on it, and the source file is
+/// picked up and hot-swapped — once, however many polls follow.
+#[test]
+fn scheduled_reload_fires_through_the_wheel() {
+    // The file the poller watches holds a different snapshot than the
+    // one served at boot, so the first poll that fires must swap.
+    let mut samples = BTreeMap::new();
+    for i in 0..8u32 {
+        samples.insert(
+            0x0a00_0200 + i,
+            LatencySamples::from_values(vec![0.02, 0.04, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0]),
+        );
+    }
+    let next_snap = build_snapshot(&samples, &SnapshotCfg::default()).unwrap();
+    let source =
+        std::env::temp_dir().join(format!("beware-serve-reload-{}.bwts", std::process::id()));
+    let mut buf = Vec::new();
+    beware::dataset::snapshot::write_snapshot(&mut buf, &next_snap).unwrap();
+    std::fs::write(&source, buf).unwrap();
+
+    let period = Duration::from_millis(200);
+    let cfg = server::ServerCfg::builder()
+        .shards(1)
+        .metrics(true)
+        .reload_from(&source)
+        .reload_poll(period)
+        .build()
+        .unwrap();
+    let t0 = Instant::now();
+    let handle = server::start(tiny_oracle(), "127.0.0.1:0", cfg).unwrap();
+    let mut client =
+        Client::connect_retry(handle.local_addr(), Duration::from_secs(5), Duration::from_secs(5))
+            .unwrap();
+    assert_eq!(client.snapshot_info().unwrap().version, 1);
+
+    let info = loop {
+        let info = client.snapshot_info().unwrap();
+        if info.version >= 2 {
+            break info;
+        }
+        assert!(t0.elapsed() <= DEADLINE_CEILING, "the scheduled reload never fired");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let waited = t0.elapsed();
+    assert_eq!(info.checksum, beware::dataset::snapshot::snapshot_checksum(&next_snap));
+    assert!(waited >= period, "poll fired after only {waited:?}");
+
+    handle.shutdown();
+    let metrics = handle.join();
+    std::fs::remove_file(&source).ok();
+    assert!(metrics.counter("sched/serve/reload_polls").unwrap_or(0) >= 1, "wheel never ticked");
+    assert_eq!(metrics.counter("oracle/reloads"), Some(1), "exactly one content change");
 }
