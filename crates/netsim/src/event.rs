@@ -2,13 +2,11 @@
 //! [`SimTime`] wrapper over [`beware_runtime::TimerQueue`], the
 //! workspace's one scheduler core.
 //!
-//! This module once carried its own binary heap keyed
-//! `(time, sequence)`. The runtime core orders by `(deadline, schedule
-//! sequence)` — the *same* total order — so the simulator's determinism
-//! contract (time order, FIFO among same-nanosecond ties) is inherited
-//! rather than re-implemented. The core holds each event's payload
-//! inline in a slab slot, so nothing on the push/pop path hashes. What
-//! the wrapper adds on top:
+//! The core orders by `(deadline, schedule sequence)`, so the
+//! simulator's determinism contract (time order, FIFO among
+//! same-nanosecond ties) is inherited rather than re-implemented. The
+//! core holds each event's payload inline in a slab slot, so nothing on
+//! the push/pop path hashes. What the wrapper adds on top:
 //!
 //! * [`EventKey`]-based cancellation — the seam behind
 //!   [`Ctx::cancel_timer`](crate::sim::Ctx::cancel_timer), retiring the

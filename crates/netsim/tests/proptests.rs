@@ -58,9 +58,25 @@ impl RetiredHeapQueue {
     }
 }
 
-/// One step of a virtual-time schedule: the op kind selector and a raw
-/// draw that doubles as deadline (pushes) or victim selector (cancels).
-type ScheduleOp = (u8, u64);
+/// One step of a virtual-time schedule: the op kind selector, a raw
+/// draw that doubles as deadline (pushes) or victim selector (cancels),
+/// and the deadline's shape (see [`draw_ns`]).
+type ScheduleOp = (u8, u64, u8);
+
+/// A push deadline in nanoseconds, by `shape`: from a 64 ns window (so
+/// same-instant ties, the FIFO contract, are common), from the whole
+/// `u64` axis with both ends (`SimTime` saturates at `u64::MAX`), or
+/// just below `seen`, the last time popped or peeked (a push below the
+/// radix heap's front).
+fn draw_ns(shape: u8, draw: u64, seen: u64) -> u64 {
+    match (shape, draw % 4) {
+        (0 | 1, _) => draw % 64,
+        (2, 0) => 0,
+        (2, 1) => u64::MAX,
+        (2, _) => draw,
+        _ => seen.saturating_sub(1 + draw % 4),
+    }
+}
 
 fn arb_dist() -> impl Strategy<Value = Dist> {
     prop_oneof![
@@ -204,22 +220,21 @@ proptest! {
 
     #[test]
     fn wheel_backed_queue_replays_the_retired_heap_byte_identically(
-        ops in proptest::collection::vec((0u8..5, any::<u64>()), 1..300),
+        ops in proptest::collection::vec((0u8..5, any::<u64>(), 0u8..4), 1..300),
     ) {
         // Replay one interleaved schedule of pushes, cancels, pops and
-        // peeks through both loops. Deadlines are drawn from a window of
-        // 64 nanoseconds so same-instant ties (the FIFO contract) are
-        // common, not freak events.
+        // peeks through both loops.
         let mut wheel_q: EventQueue<u64> = EventQueue::new();
         let mut heap_q = RetiredHeapQueue::default();
         let mut live: Vec<(EventKey, u64)> = Vec::new(); // (wheel key, heap seq)
         let mut next_payload = 0u64;
-        for &(kind, draw) in &ops as &Vec<ScheduleOp> {
+        let mut seen = 0;
+        for &(kind, draw, shape) in &ops as &Vec<ScheduleOp> {
             match kind {
                 // Pushes dominate so schedules grow deep enough to
                 // exercise ordering, not just drain immediately.
                 0 | 1 => {
-                    let at_ns = draw % 64;
+                    let at_ns = draw_ns(shape, draw, seen);
                     let key = wheel_q.push(SimTime::from_ns(at_ns), next_payload);
                     let seq = heap_q.push(at_ns, next_payload);
                     live.push((key, seq));
@@ -236,9 +251,12 @@ proptest! {
                     // both loops answer a later cancel with `None`.
                     let wheel_pop = wheel_q.pop().map(|(at, p)| (at.as_ns(), p));
                     prop_assert_eq!(wheel_pop, heap_q.pop());
+                    seen = wheel_pop.map_or(seen, |(at, _)| at);
                 }
                 _ => {
-                    prop_assert_eq!(wheel_q.peek_time().map(SimTime::as_ns), heap_q.peek_ns());
+                    let peeked = wheel_q.peek_time().map(SimTime::as_ns);
+                    prop_assert_eq!(peeked, heap_q.peek_ns());
+                    seen = peeked.unwrap_or(seen);
                 }
             }
         }

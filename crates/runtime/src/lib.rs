@@ -23,12 +23,14 @@
 //!   `beware-serve` all re-export or delegate to it, with equivalence
 //!   tests pinning the streams to the retired private copies.
 //! * [`wheel`] — the workspace's one deadline scheduler. Its core,
-//!   [`TimerQueue`], is a binary heap of 24-byte `(deadline, seq, slot)`
-//!   entries over a slab of inline payloads; a [`TimerKey`] is a `Copy`
-//!   `(slot, seq)` pair, so scheduling, cancelling and popping never
-//!   hash, and a stale key cannot touch its slot's next occupant.
-//!   Cancellation is lazy, and the heap is rebuilt from its live entries
-//!   once dead ones outnumber them by a fixed slack. netsim's event
+//!   [`TimerQueue`], is a monotone radix heap of 24-byte
+//!   `(deadline, seq, slot)` entries over a slab of inline payloads:
+//!   O(1) schedule, pops that scan buckets sequentially, and the exact
+//!   `(deadline, seq)` order. A [`TimerKey`] is a `Copy` `(slot, seq)`
+//!   pair, so scheduling, cancelling and popping never hash, and a stale
+//!   key cannot touch its slot's next occupant. Cancellation is lazy,
+//!   and the heap is rebuilt from its live entries once dead ones
+//!   outnumber them by a fixed slack. netsim's event
 //!   queue wraps the core directly; [`DeadlineWheel`] is the keyed face
 //!   (one deadline per caller key, reschedule and cancel by key) that the
 //!   oracle server's shard loop (idle eviction) and the chaos proxy

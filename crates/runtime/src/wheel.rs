@@ -1,4 +1,5 @@
-//! The workspace's one deadline scheduler: a slab-indexed binary heap.
+//! The workspace's one deadline scheduler: a slab-indexed monotone radix
+//! heap.
 //!
 //! [`TimerQueue<T>`] is the core. Its heap holds 24-byte
 //! `(deadline_ns, seq, slot)` entries; the payload lives inline in a
@@ -10,14 +11,35 @@
 //! cancel or pop path hashes.
 //!
 //! Order is `(deadline, schedule sequence)`: earliest deadline first,
-//! FIFO among equal deadlines, never hash order.
+//! FIFO among equal deadlines, never hash order. Each entry's 128-bit
+//! key `(deadline_ns << 64) | seq` is unique, so the order is total.
+//!
+//! **The radix heap** (Ahuja, Mehlhorn, Orlin and Tarjan) files entries
+//! by their key's distance from `last`, the key of the most recent
+//! front entry: bucket `i` holds the entries whose key first differs
+//! from `last` at bit `i`, and the front holds the one entry whose key
+//! *is* `last`. A bitmask records which buckets are occupied. Scheduling
+//! is an O(1) push into one bucket. Finding the front empties the lowest
+//! occupied bucket: its minimum becomes `last`, and every other entry in
+//! it moves to a strictly lower bucket, so an entry moves at most 128
+//! times in its life and each move is a sequential scan, not a walk
+//! down a tree of cache misses. A drained bucket keeps its allocation
+//! for reuse only up to `BUCKET_KEEP` entries.
+//!
+//! **Monotone precondition.** Every key in the heap is `>= last`. The
+//! simulator never breaks this: it schedules at or after the event it
+//! is running, which is never earlier than the front. A wall-clock
+//! caller can: a new earliest deadline after [`TimerQueue::next_deadline`]
+//! has peeked, or a deadline already in the past. Such a schedule
+//! re-files every entry around the new key — O(n), rare, and the order
+//! is kept.
 //!
 //! Cancellation is **lazy**: the slot is freed at once, its heap entry
-//! stays behind and is skipped when it reaches the top. A key whose
-//! deadline is pushed out on every event (a hot connection's idle
-//! timer) would leave one dead entry per reschedule, so once dead
-//! entries outnumber live ones by more than a small fixed slack the heap
-//! is rebuilt from its live entries. The rebuild costs O(heap) after at
+//! stays behind and is dropped when it reaches the front. A key whose
+//! deadline is pushed out on every event (a hot connection's idle timer)
+//! would leave one dead entry per reschedule, so once dead entries
+//! outnumber live ones by more than a small fixed slack every bucket
+//! drops its dead entries in place. The rebuild costs O(heap) after at
 //! least that many cancels — amortized O(1) — and cannot change the pop
 //! order, which is a total order over `(deadline, seq)`.
 //!
@@ -34,8 +56,7 @@
 //!   wheel itself never reads a clock, which keeps it trivially
 //!   virtual-time-compatible.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::time::Duration;
 
@@ -45,6 +66,14 @@ use crate::clock::duration_to_ns;
 /// rebuilt once `dead > live + REBUILD_SLACK`, so it never holds more
 /// than `2 × live + REBUILD_SLACK` entries after a cancel.
 const REBUILD_SLACK: usize = 64;
+
+/// One bucket per bit of the 128-bit key; the front is kept apart.
+const BUCKETS: usize = 128;
+
+/// The most entries a drained bucket's allocation may hold and still be
+/// kept for reuse. A larger one is released: every bucket keeping its
+/// high-water capacity would pin several times the live set.
+const BUCKET_KEEP: usize = 1024;
 
 /// Handle to one scheduled timer: the slot that holds it and the
 /// schedule sequence number stamped on that slot.
@@ -65,17 +94,10 @@ struct HeapEntry {
 
 const _: () = assert!(std::mem::size_of::<HeapEntry>() == 24);
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // deadline on top.
-        (other.deadline_ns, other.seq).cmp(&(self.deadline_ns, self.seq))
+impl HeapEntry {
+    /// The entry's place in the order, as one unique integer.
+    fn key(&self) -> u128 {
+        (u128::from(self.deadline_ns) << 64) | u128::from(self.seq)
     }
 }
 
@@ -92,7 +114,17 @@ struct Slot<T> {
 /// nanosecond `u64` deadline axis. See the [module docs](self).
 #[derive(Debug)]
 pub struct TimerQueue<T> {
-    heap: BinaryHeap<HeapEntry>,
+    /// The entry whose key is `last`, if it is still in the heap.
+    front: Option<HeapEntry>,
+    /// `buckets[i]` holds the entries whose key first differs from
+    /// `last` at bit `i`.
+    buckets: [Vec<HeapEntry>; BUCKETS],
+    /// Bit `i` set ⇔ `buckets[i]` is non-empty.
+    occupied: u128,
+    /// No entry's key is below this.
+    last: u128,
+    /// Heap entries, live and dead.
+    entries: usize,
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -109,7 +141,11 @@ impl<T> TimerQueue<T> {
     /// An empty queue.
     pub fn new() -> TimerQueue<T> {
         TimerQueue {
-            heap: BinaryHeap::new(),
+            front: None,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last: 0,
+            entries: 0,
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -135,7 +171,13 @@ impl<T> TimerQueue<T> {
             }
         };
         self.live += 1;
-        self.heap.push(HeapEntry { deadline_ns, seq, slot });
+        let entry = HeapEntry { deadline_ns, seq, slot };
+        if entry.key() < self.last {
+            // The monotone precondition is broken (see the module docs).
+            self.lower_last(entry.key());
+        }
+        self.file(entry);
+        self.entries += 1;
         TimerKey { slot, seq }
     }
 
@@ -143,9 +185,8 @@ impl<T> TimerQueue<T> {
     /// already-cancelled timers return `None` and change nothing.
     pub fn cancel(&mut self, key: TimerKey) -> Option<T> {
         let value = self.take(key)?;
-        if self.heap.len() - self.live > self.live + REBUILD_SLACK {
-            let slots = &self.slots;
-            self.heap.retain(|e| is_live(slots, e));
+        if self.entries - self.live > self.live + REBUILD_SLACK {
+            self.rebuild();
         }
         Some(value)
     }
@@ -156,23 +197,23 @@ impl<T> TimerQueue<T> {
         (slot.seq == key.seq && slot.value.is_some()).then_some(slot.deadline_ns)
     }
 
-    /// The earliest pending deadline (sweeping dead entries off the top).
+    /// The earliest pending deadline (dropping dead entries off the
+    /// front).
     pub fn next_deadline(&mut self) -> Option<u64> {
-        self.sweep();
-        self.heap.peek().map(|e| e.deadline_ns)
+        self.settle().map(|e| e.deadline_ns)
     }
 
     /// Pop the earliest timer if its deadline is `<= now_ns`, with its
     /// deadline.
     fn pop_due(&mut self, now_ns: u64) -> Option<(u64, T)> {
-        self.sweep();
-        let top = *self.heap.peek()?;
+        let top = self.settle()?;
         if top.deadline_ns > now_ns {
             return None;
         }
-        self.heap.pop();
+        self.front = None;
+        self.entries -= 1;
         let value =
-            self.take(TimerKey { slot: top.slot, seq: top.seq }).expect("swept top is live");
+            self.take(TimerKey { slot: top.slot, seq: top.seq }).expect("settled front is live");
         Some((top.deadline_ns, value))
     }
 
@@ -203,13 +244,74 @@ impl<T> TimerQueue<T> {
         Some(value)
     }
 
-    /// Drop dead entries (cancelled, or their slot refilled) off the top.
-    fn sweep(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if is_live(&self.slots, top) {
-                return;
+    /// Put `entry`, whose key is `>= last`, in its bucket.
+    fn file(&mut self, entry: HeapEntry) {
+        let diff = entry.key() ^ self.last;
+        if diff == 0 {
+            self.front = Some(entry);
+            return;
+        }
+        let bit = 127 - diff.leading_zeros() as usize;
+        self.buckets[bit].push(entry);
+        self.occupied |= 1 << bit;
+    }
+
+    /// Bring the earliest live entry to the front and return it. Dead
+    /// entries (cancelled, or their slot refilled) that reach the front
+    /// are dropped.
+    fn settle(&mut self) -> Option<HeapEntry> {
+        loop {
+            if let Some(front) = self.front {
+                if is_live(&self.slots, &front) {
+                    return Some(front);
+                }
+                self.front = None;
+                self.entries -= 1;
             }
-            self.heap.pop();
+            if self.occupied == 0 {
+                return None;
+            }
+            // The lowest occupied bucket holds the minimum. Its entries
+            // agree with it above their first difference from `last`, so
+            // re-filed around it they all land in lower buckets.
+            let bit = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1 << bit);
+            let mut drained = std::mem::take(&mut self.buckets[bit]);
+            self.last = drained.iter().map(HeapEntry::key).min().expect("occupied bucket");
+            for entry in drained.drain(..) {
+                self.file(entry);
+            }
+            if drained.capacity() <= BUCKET_KEEP {
+                self.buckets[bit] = drained;
+            }
+        }
+    }
+
+    /// Drop every dead entry, in place. O(entries).
+    fn rebuild(&mut self) {
+        let slots = &self.slots;
+        self.front = self.front.filter(|e| is_live(slots, e));
+        for (bit, bucket) in self.buckets.iter_mut().enumerate() {
+            bucket.retain(|e| is_live(slots, e));
+            if bucket.is_empty() {
+                self.occupied &= !(1 << bit);
+            }
+        }
+        self.entries = self.live;
+    }
+
+    /// Re-file every entry around a new `last` below all their keys.
+    /// O(entries).
+    fn lower_last(&mut self, last: u128) {
+        let mut all: Vec<HeapEntry> = Vec::with_capacity(self.entries);
+        all.extend(self.front.take());
+        for bucket in &mut self.buckets {
+            all.append(bucket);
+        }
+        self.occupied = 0;
+        self.last = last;
+        for entry in all {
+            self.file(entry);
         }
     }
 }
@@ -390,7 +492,7 @@ mod tests {
         w.schedule("idle", s(2_000_000));
         for i in 0..1_000_000u64 {
             w.schedule("hot", s(i + 1));
-            assert!(w.timers.heap.len() <= 2 * w.len() + REBUILD_SLACK);
+            assert!(w.timers.entries <= 2 * w.len() + REBUILD_SLACK);
         }
         assert_eq!(w.len(), 2);
         assert_eq!(w.deadline_of(&"hot"), Some(s(1_000_000)));
@@ -439,11 +541,44 @@ mod tests {
                 q.cancel(k);
             }
         }
-        assert!(q.heap.len() <= 2 * q.len() + REBUILD_SLACK, "rebuilt: {}", q.heap.len());
+        assert!(q.entries <= 2 * q.len() + REBUILD_SLACK, "rebuilt: {}", q.entries);
         let mut expect: Vec<(u64, u64)> = (0..1_000u64).step_by(10).map(|i| (i % 16, i)).collect();
         expect.sort();
         let popped: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop_next()).collect();
         assert_eq!(popped, expect);
+    }
+
+    #[test]
+    fn simserve_churn_keeps_entries_and_capacity_bounded() {
+        // The in-sim client's timer shape at depth 65 536: per query a
+        // think timer, two network hops and a timeout, the timeout
+        // cancelled when the answer lands, three timers firing.
+        const DEPTH: usize = 65_536;
+        const MS: u64 = 1_000_000;
+        let mut rng = crate::rng::SplitMix64::new(7);
+        let mut q = TimerQueue::new();
+        for i in 0..DEPTH as u64 {
+            q.schedule(rng.next_u64() % (1_000 * MS), i);
+        }
+        let mut now = 0;
+        let mut peak = 0;
+        for round in 0..200_000u64 {
+            let keys = [10 * MS, 20 * MS, 1_000 * MS, 1_000 * MS]
+                .map(|lead| q.schedule(now + lead + rng.next_u64() % MS, round));
+            q.cancel(keys[3]);
+            assert!(q.entries <= 2 * q.len() + REBUILD_SLACK, "round {round}: {}", q.entries);
+            for _ in 0..3 {
+                now = q.pop_next().expect("queue never drains").0;
+            }
+            peak = peak.max(q.buckets.iter().map(Vec::capacity).sum());
+        }
+        assert_eq!(q.len(), DEPTH);
+        // Buckets grow by doubling, so they hold at most twice the entries
+        // the rebuild rule allows, plus what drained buckets keep. Were
+        // every drained bucket to keep its high-water capacity instead,
+        // this would be exceeded.
+        let bound = 2 * (2 * DEPTH + REBUILD_SLACK) + BUCKETS * BUCKET_KEEP;
+        assert!(peak <= bound, "peak retained capacity {peak} > {bound}");
     }
 
     #[test]

@@ -102,30 +102,56 @@ impl<K: Eq + Hash + Clone> RetiredWheel<K> {
     }
 }
 
+/// A deadline or `now`, by `shape`: from a 64 ns window (so equal
+/// deadlines, the FIFO contract, are common), from the whole `u64`
+/// nanosecond axis with both ends, or just below `seen`, the last
+/// deadline popped or peeked (a schedule below the radix heap's front).
+fn draw_at(shape: u8, draw: u64, seen: Duration) -> Duration {
+    match (shape, draw % 4) {
+        (0 | 1, _) => Duration::from_nanos(draw % 64),
+        (2, 0) => Duration::ZERO,
+        (2, 1) => Duration::from_nanos(u64::MAX),
+        (2, _) => Duration::from_nanos(draw),
+        _ => seen.saturating_sub(Duration::from_nanos(1 + draw % 4)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn keyed_wheel_matches_the_retired_wheel(
-        ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..8, any::<u64>(), 0u8..4), 1..400),
     ) {
         // Sixteen keys, so schedule on a live key (a reschedule) is as
-        // common as a fresh one; deadlines and `now` from a 64 ns window,
-        // so equal deadlines (the FIFO contract) are common too.
+        // common as a fresh one.
         let mut wheel: DeadlineWheel<u8> = DeadlineWheel::new();
         let mut model: RetiredWheel<u8> = RetiredWheel::new();
-        for &(kind, draw) in &ops {
+        let mut seen = Duration::ZERO;
+        for &(kind, draw, shape) in &ops {
             let key = (draw >> 32) as u8 % 16;
-            let at = Duration::from_nanos(draw % 64);
+            let at = draw_at(shape, draw, seen);
             match kind {
                 0..=2 => {
                     wheel.schedule(key, at);
                     model.schedule(key, at);
                 }
                 3 => prop_assert_eq!(wheel.cancel(&key), model.cancel(&key)),
-                4 => prop_assert_eq!(wheel.pop_expired(at), model.pop_expired(at)),
-                5 => prop_assert_eq!(wheel.pop_next(), model.pop_next()),
-                6 => prop_assert_eq!(wheel.next_deadline(), model.next_deadline()),
+                4 => {
+                    let popped = wheel.pop_expired(at);
+                    prop_assert_eq!(popped, model.pop_expired(at));
+                    seen = popped.map_or(seen, |(_, at)| at);
+                }
+                5 => {
+                    let popped = wheel.pop_next();
+                    prop_assert_eq!(popped, model.pop_next());
+                    seen = popped.map_or(seen, |(_, at)| at);
+                }
+                6 => {
+                    let next = wheel.next_deadline();
+                    prop_assert_eq!(next, model.next_deadline());
+                    seen = next.unwrap_or(seen);
+                }
                 _ => prop_assert_eq!(wheel.deadline_of(&key), model.deadline_of(&key)),
             }
             prop_assert_eq!(wheel.len(), model.len());

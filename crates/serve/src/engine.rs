@@ -114,11 +114,9 @@ impl Transport for ChannelTransport {
             }
             return Ok(0); // peer hung up and everything is drained
         }
-        let n = q.len().min(buf.len());
-        for b in buf.iter_mut().take(n) {
-            *b = q.pop_front().expect("len checked");
-        }
-        Ok(n)
+        // Copies from the ring's front slice only, so a read that wraps
+        // comes back short; the engine reads again until `WouldBlock`.
+        q.read(buf)
     }
 
     fn write_nb(&mut self, buf: &[u8]) -> io::Result<usize> {
