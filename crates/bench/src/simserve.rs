@@ -267,16 +267,25 @@ struct Client {
     timeout_timer: Option<TimerId>,
     /// The in-flight network delivery (request or reply leg).
     net_timer: Option<TimerId>,
-    /// Request frame(s), written into the channel when they *arrive* at
-    /// the server — so a drop or give-up never leaves stale bytes.
-    request: Vec<u8>,
-    /// Reply bytes in flight back to the client.
-    reply: Vec<u8>,
+}
+
+impl Client {
+    /// The `(addr_pct, ping_pct)` pair of attempt number `attempt`.
+    fn pct_pair(&self, attempt: u32) -> (u16, u16) {
+        PCT_PAIRS[(self.addr as usize + attempt as usize) % PCT_PAIRS.len()]
+    }
 }
 
 /// One cell: the engine shard plus its clients, driven as a netsim
 /// agent. All per-client work is dispatched through wheel timers whose
 /// tokens encode `(kind, client)`.
+///
+/// No client holds bytes of its own. A request is encoded into the
+/// cell's scratch buffer and written into the channel when it *arrives*
+/// at the server, so a dropped request leaves nothing behind. The reply
+/// waits in the channel's outbound queue until it arrives back at the
+/// client; a reply the link drops, or one the client gives up on, is
+/// drained and discarded.
 struct CellAgent {
     cfg: SimServeCfg,
     core: EngineCore,
@@ -286,6 +295,8 @@ struct CellAgent {
     peers: Vec<ChannelPeer>,
     clients: Vec<Client>,
     oracle: Arc<Oracle>,
+    /// Request and reply bytes of the event being handled.
+    scratch: Vec<u8>,
     out: CellOut,
 }
 
@@ -340,6 +351,7 @@ impl CellAgent {
             peers,
             clients,
             oracle: Arc::clone(oracle),
+            scratch: Vec::new(),
             out: CellOut::default(),
         }
     }
@@ -382,7 +394,7 @@ impl CellAgent {
         let c = &mut self.clients[i];
         debug_assert!(c.attempts_left > 0, "fired with no attempts left");
         c.attempts_left -= 1;
-        let (r, p) = PCT_PAIRS[(c.addr as usize + c.attempt as usize) % PCT_PAIRS.len()];
+        let (r, p) = c.pct_pair(c.attempt);
         c.attempt += 1;
         c.sent_at = now;
         c.expected_bits = if policy_mode {
@@ -390,21 +402,9 @@ impl CellAgent {
         } else {
             Some(self.oracle.lookup(c.addr, r, p).expect("grid pair resolves").timeout_bits)
         };
-        c.request.clear();
-        if policy_mode {
-            if let Some(rtt_us) = c.last_rtt_us {
-                c.request.extend_from_slice(&proto::encode(&Message::Report {
-                    addr: c.addr,
-                    rtt_us: rtt_us.min(u64::from(u32::MAX)) as u32,
-                }));
-                self.out.reports_sent += 1;
-            }
+        if policy_mode && c.last_rtt_us.is_some() {
+            self.out.reports_sent += 1;
         }
-        c.request.extend_from_slice(&proto::encode(&Message::Query {
-            addr: c.addr,
-            addr_pct_tenths: r,
-            ping_pct_tenths: p,
-        }));
         self.out.queries_sent += 1;
         let timeout = SimDuration::from_secs_f64(c.timeout_secs);
         c.timeout_timer = Some(ctx.set_timer(now + timeout, TIMEOUT | i as u64));
@@ -418,72 +418,64 @@ impl CellAgent {
                 // Black-holed (partition) or tail-dropped: the timeout
                 // timer is now the only thing pending for this client.
                 self.out.requests_dropped += 1;
-                self.clients[i].request.clear();
             }
         }
     }
 
+    /// Move the reply bytes queued on client `i`'s channel into
+    /// `scratch`, emptying the channel.
+    fn take_reply(&mut self, i: usize) {
+        self.scratch.clear();
+        self.peers[i].drain(&mut self.scratch);
+    }
+
     fn server_rx(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        self.clients[i].net_timer = None;
-        let request = std::mem::take(&mut self.clients[i].request);
-        if request.is_empty() {
-            return;
+        let c = &mut self.clients[i];
+        c.net_timer = None;
+        // The frames `fire` sent for: a Report of the last RTT when one is
+        // due, then the Query of the attempt just made.
+        self.scratch.clear();
+        if self.cfg.policy.is_some() {
+            if let Some(rtt_us) = c.last_rtt_us {
+                let rtt_us = rtt_us.min(u64::from(u32::MAX)) as u32;
+                proto::encode_into(&Message::Report { addr: c.addr, rtt_us }, &mut self.scratch);
+            }
         }
-        self.peers[i].send(&request);
+        let (r, p) = c.pct_pair(c.attempt - 1);
+        let query = Message::Query { addr: c.addr, addr_pct_tenths: r, ping_pct_tenths: p };
+        proto::encode_into(&query, &mut self.scratch);
+        self.peers[i].send(&self.scratch);
         let engine = self.engine.as_mut().expect("engine built at start");
         engine.service(&mut self.conns[i], &mut self.out.reg);
         engine.flush(&mut self.conns[i], &mut self.out.reg);
-        let mut reply = Vec::new();
-        self.peers[i].drain(&mut reply);
-        if reply.is_empty() {
+        if self.peers[i].pending() == 0 {
             return;
         }
         let addr = self.clients[i].addr;
         match self.links.traverse(&path_of(addr), now) {
             Some(extra) => {
                 let at = now + PROP_ONE_WAY + extra;
-                self.clients[i].reply = reply;
                 self.clients[i].net_timer = Some(ctx.set_timer(at, CLIENT_RX | i as u64));
             }
-            None => self.out.replies_dropped += 1,
+            None => {
+                self.out.replies_dropped += 1;
+                self.take_reply(i);
+            }
         }
     }
 
     fn client_rx(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         self.clients[i].net_timer = None;
-        let bytes = std::mem::take(&mut self.clients[i].reply);
         // The answer made it: cancel the timeout *before* judging the
         // payload — this is the wheel cancellation the refactor bought.
         if let Some(id) = self.clients[i].timeout_timer.take() {
             let cancelled = ctx.cancel_timer(id);
             debug_assert!(cancelled, "reply in hand implies a pending timeout");
         }
-        let mut answer = None;
-        let mut offset = 0;
-        while offset < bytes.len() {
-            match proto::try_decode(&bytes[offset..]) {
-                Ok(Some((msg, used))) => {
-                    offset += used;
-                    match msg {
-                        Message::Answer { .. } => answer = Some(msg),
-                        Message::ReportAck { .. } => {}
-                        _ => {
-                            self.out.errors += 1;
-                            self.next_attempt(i, ctx);
-                            return;
-                        }
-                    }
-                }
-                _ => {
-                    self.out.errors += 1;
-                    self.next_attempt(i, ctx);
-                    return;
-                }
-            }
-        }
-        let Some(Message::Answer { timeout_bits, .. }) = answer else {
+        self.take_reply(i);
+        let Some(timeout_bits) = answer_bits(&self.scratch) else {
             self.out.errors += 1;
             self.next_attempt(i, ctx);
             return;
@@ -520,10 +512,25 @@ impl CellAgent {
             ctx.cancel_timer(id);
             self.out.gave_up_inflight += 1;
         }
-        self.clients[i].request.clear();
-        self.clients[i].reply.clear();
+        self.take_reply(i);
         self.next_attempt(i, ctx);
     }
+}
+
+/// The timeout bits of the one `Answer` in a reply, which may follow
+/// `ReportAck`s; `None` for anything else or for bytes that do not decode.
+fn answer_bits(mut bytes: &[u8]) -> Option<u64> {
+    let mut answer = None;
+    while !bytes.is_empty() {
+        let (msg, used) = proto::try_decode(bytes).ok()??;
+        bytes = &bytes[used..];
+        match msg {
+            Message::Answer { timeout_bits, .. } => answer = Some(timeout_bits),
+            Message::ReportAck { .. } => {}
+            _ => return None,
+        }
+    }
+    answer
 }
 
 impl Agent for CellAgent {

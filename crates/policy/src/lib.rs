@@ -27,8 +27,8 @@
 //!   trait, so the offline recommendation is scored through exactly the
 //!   interface the online policies use (built from an [`OracleTable`]).
 //!
-//! Per-prefix state lives in a [`PrefixPolicyMap`] keyed by
-//! `beware-asdb`'s longest-prefix-match trie; published, immutable
+//! Per-prefix state lives in a [`PrefixPolicyMap`], a sorted array of
+//! /24 prefixes with their estimators beside it; published, immutable
 //! snapshots of the map travel as [`PolicyTable`]s through
 //! `beware_runtime::swap::Slot` (the serve path's epoch-swap slot).
 //! Everything is deterministic: no wall clock, no ambient RNG — sample

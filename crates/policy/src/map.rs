@@ -1,14 +1,17 @@
-//! Per-prefix estimator state behind an LPM trie.
+//! Per-prefix estimator state in sorted parallel arrays.
 //!
 //! Both the replay harness and the policy-mode server track one
 //! estimator per /24 — the granularity the paper's snapshot tables use —
-//! created lazily on first contact. The map reuses `beware-asdb`'s
-//! [`PrefixTrie`] for the keying, so the online subsystem and the static
-//! oracle agree on what "per-prefix" means.
+//! created lazily on first contact. All keys share one prefix length, so
+//! the map is an ascending array of masked prefixes searched by
+//! bisection, with the estimators in a parallel array. First contact
+//! with a prefix inserts in place (O(n), once per prefix); a freeze into
+//! a [`PolicyTable`] is one linear pass that copies the prefixes and
+//! quotes each estimator.
 
 use crate::adapter::OracleTable;
 use crate::{PolicyKind, PolicyTable, RttSample, TimeoutPolicy};
-use beware_asdb::PrefixTrie;
+use beware_dataset::snapshot::prefix_mask;
 use std::sync::Arc;
 
 /// Factory producing the estimator for a freshly seen prefix. Receives
@@ -20,9 +23,10 @@ pub struct PrefixPolicyMap {
     kind: PolicyKind,
     prefix_len: u8,
     factory: Factory,
-    /// `trie` stores indices into `slots` so iteration order (ascending
-    /// prefix) is independent of creation order.
-    trie: PrefixTrie<usize>,
+    /// Masked prefixes, strictly ascending, so iteration order is
+    /// independent of creation order.
+    prefixes: Vec<u32>,
+    /// `slots[i]` is the estimator of `prefixes[i]`.
     slots: Vec<Box<dyn TimeoutPolicy>>,
     /// State bytes charged regardless of tracked prefixes (the oracle's
     /// shared frozen table).
@@ -53,7 +57,7 @@ impl PrefixPolicyMap {
             kind,
             prefix_len: 24,
             factory: Box::new(move |_| kind.build()),
-            trie: PrefixTrie::new(),
+            prefixes: Vec::new(),
             slots: Vec::new(),
             base_bytes: 0,
         }
@@ -66,7 +70,7 @@ impl PrefixPolicyMap {
             kind: PolicyKind::Oracle,
             prefix_len: 24,
             factory: Box::new(move |prefix| Box::new(table.policy_for(prefix))),
-            trie: PrefixTrie::new(),
+            prefixes: Vec::new(),
             slots: Vec::new(),
             base_bytes,
         }
@@ -82,22 +86,14 @@ impl PrefixPolicyMap {
         self.prefix_len
     }
 
-    fn mask(&self, addr: u32) -> u32 {
-        if self.prefix_len == 0 {
-            return 0;
-        }
-        addr & (u32::MAX << (32 - u32::from(self.prefix_len)))
-    }
-
     /// The estimator covering `addr`, created on first contact.
     fn slot_mut(&mut self, addr: u32) -> &mut Box<dyn TimeoutPolicy> {
-        let prefix = self.mask(addr);
-        let idx = match self.trie.get_exact(prefix, self.prefix_len) {
-            Some(&i) => i,
-            None => {
-                let i = self.slots.len();
-                self.slots.push((self.factory)(prefix));
-                self.trie.insert(prefix, self.prefix_len, i);
+        let prefix = addr & prefix_mask(self.prefix_len);
+        let idx = match self.prefixes.binary_search(&prefix) {
+            Ok(i) => i,
+            Err(i) => {
+                self.prefixes.insert(i, prefix);
+                self.slots.insert(i, (self.factory)(prefix));
                 i
             }
         };
@@ -125,7 +121,8 @@ impl PrefixPolicyMap {
     }
 
     /// Total estimator memory: shared base state plus every tracked
-    /// prefix's own state, plus the trie key (4 + 1 bytes canonical).
+    /// prefix's own state, plus its key (4 + 1 bytes canonical: prefix
+    /// and length).
     pub fn state_bytes(&self) -> usize {
         self.base_bytes + self.slots.iter().map(|s| s.state_bytes() + 5).sum::<usize>()
     }
@@ -134,10 +131,11 @@ impl PrefixPolicyMap {
     /// `fallback_secs` for untracked space — what the policy-mode server
     /// publishes through the epoch-swap slot.
     pub fn snapshot_table(&self, fallback_secs: f64) -> PolicyTable {
-        PolicyTable::from_entries(
+        PolicyTable::from_sorted(
             self.prefix_len,
             fallback_secs,
-            self.trie.iter().map(|(prefix, _, &i)| (prefix, self.slots[i].current_timeout())),
+            self.prefixes.clone(),
+            self.slots.iter().map(|s| s.current_timeout().to_bits()).collect(),
         )
     }
 }

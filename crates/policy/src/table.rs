@@ -6,9 +6,15 @@
 //! current timeout, as raw `f64` bits — and publishes it through the
 //! runtime's epoch-swap slot (`beware_runtime::swap::Slot`), exactly the
 //! way snapshot reloads publish a new oracle. Readers then answer
-//! queries from the frozen table with one LPM lookup and zero locks.
+//! queries from the frozen table with zero locks.
+//!
+//! Every key in a table has the same prefix length, so longest-prefix
+//! match degenerates to exact match on the masked address: the table is
+//! two parallel arrays — ascending prefixes and their timeout bits —
+//! searched by bisection. A freeze is two flat copies of the map's own
+//! sorted arrays, with no tree to build.
 
-use beware_asdb::PrefixTrie;
+use beware_dataset::snapshot::prefix_mask;
 
 /// One query's answer from a [`PolicyTable`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,7 +30,10 @@ pub struct PolicyAnswer {
 #[derive(Debug)]
 pub struct PolicyTable {
     prefix_len: u8,
-    trie: PrefixTrie<u64>,
+    /// Masked prefixes, strictly ascending.
+    prefixes: Vec<u32>,
+    /// `bits[i]` is the timeout of `prefixes[i]`, as `f64` bits.
+    bits: Vec<u64>,
     fallback_bits: u64,
 }
 
@@ -32,21 +41,47 @@ impl PolicyTable {
     /// An empty table quoting `fallback_secs` everywhere: what a policy
     /// server answers before any RTT report has arrived.
     pub fn empty(prefix_len: u8, fallback_secs: f64) -> PolicyTable {
-        PolicyTable { prefix_len, trie: PrefixTrie::new(), fallback_bits: fallback_secs.to_bits() }
+        PolicyTable::from_sorted(prefix_len, fallback_secs, Vec::new(), Vec::new())
     }
 
     /// Build a table from `(prefix, timeout_secs)` pairs, all at
-    /// `prefix_len`.
+    /// `prefix_len`. Bits below the prefix length are ignored, and when a
+    /// prefix repeats the last pair wins.
     pub fn from_entries(
         prefix_len: u8,
         fallback_secs: f64,
         entries: impl IntoIterator<Item = (u32, f64)>,
     ) -> PolicyTable {
-        let mut trie = PrefixTrie::new();
-        for (prefix, secs) in entries {
-            trie.insert(prefix, prefix_len, secs.to_bits());
+        let mask = prefix_mask(prefix_len);
+        let mut pairs: Vec<(u32, u64)> =
+            entries.into_iter().map(|(prefix, secs)| (prefix & mask, secs.to_bits())).collect();
+        // Stable: duplicates keep their input order, so the last one of
+        // each run is the last one given.
+        pairs.sort_by_key(|&(prefix, _)| prefix);
+        let mut prefixes: Vec<u32> = Vec::with_capacity(pairs.len());
+        let mut bits: Vec<u64> = Vec::with_capacity(pairs.len());
+        for (prefix, b) in pairs {
+            if prefixes.last() == Some(&prefix) {
+                *bits.last_mut().expect("parallel to prefixes") = b;
+            } else {
+                prefixes.push(prefix);
+                bits.push(b);
+            }
         }
-        PolicyTable { prefix_len, trie, fallback_bits: fallback_secs.to_bits() }
+        PolicyTable::from_sorted(prefix_len, fallback_secs, prefixes, bits)
+    }
+
+    /// A table over already-masked, strictly ascending `prefixes` and
+    /// their parallel timeout `bits`.
+    pub(crate) fn from_sorted(
+        prefix_len: u8,
+        fallback_secs: f64,
+        prefixes: Vec<u32>,
+        bits: Vec<u64>,
+    ) -> PolicyTable {
+        debug_assert_eq!(prefixes.len(), bits.len());
+        debug_assert!(prefixes.windows(2).all(|w| w[0] < w[1]), "prefixes strictly ascending");
+        PolicyTable { prefix_len, prefixes, bits, fallback_bits: fallback_secs.to_bits() }
     }
 
     /// Tracked-prefix length (the serve path publishes /24 state).
@@ -56,14 +91,16 @@ impl PolicyTable {
 
     /// Number of tracked prefixes.
     pub fn entries(&self) -> usize {
-        self.trie.len()
+        self.prefixes.len()
     }
 
     /// Answer a query for `addr`.
     pub fn lookup(&self, addr: u32) -> PolicyAnswer {
-        match self.trie.lookup(addr) {
-            Some(&bits) => PolicyAnswer { timeout_secs: f64::from_bits(bits), exact: true },
-            None => PolicyAnswer { timeout_secs: f64::from_bits(self.fallback_bits), exact: false },
+        match self.prefixes.binary_search(&(addr & prefix_mask(self.prefix_len))) {
+            Ok(i) => PolicyAnswer { timeout_secs: f64::from_bits(self.bits[i]), exact: true },
+            Err(_) => {
+                PolicyAnswer { timeout_secs: f64::from_bits(self.fallback_bits), exact: false }
+            }
         }
     }
 }

@@ -1,7 +1,10 @@
 //! Property tests: every registered policy is a deterministic, bounded
 //! function of its event stream.
 
-use beware_policy::{PolicyKind, PrefixPolicyMap, RttSample, MAX_TIMEOUT_SECS, MIN_TIMEOUT_SECS};
+use beware_asdb::PrefixTrie;
+use beware_policy::{
+    PolicyKind, PolicyTable, PrefixPolicyMap, RttSample, MAX_TIMEOUT_SECS, MIN_TIMEOUT_SECS,
+};
 use proptest::prelude::*;
 
 /// One step of an estimator's life.
@@ -107,6 +110,80 @@ proptest! {
                 (quotes, map.state_bytes(), map.tracked())
             };
             prop_assert_eq!(run(), run(), "{} map diverged", kind.name());
+        }
+    }
+
+    /// The sorted-array table answers exactly like a longest-prefix match
+    /// over a trie fed the same entries: low bits ignored, the last of
+    /// duplicate prefixes wins, at the extreme lengths too. Entries are
+    /// drawn near a few bases so duplicates and near-misses are common.
+    #[test]
+    fn policy_table_lookup_matches_trie_lpm(
+        len_pick in 0usize..4,
+        bases in proptest::collection::vec(any::<u32>(), 1..4),
+        entries in proptest::collection::vec((0usize..4, any::<u16>(), 1u32..100_000), 0..40),
+        probes in proptest::collection::vec((0usize..4, any::<u16>()), 1..40),
+    ) {
+        let prefix_len = [0u8, 24, 24, 32][len_pick];
+        let near = |(b, low): (usize, u16)| bases[b % bases.len()] ^ u32::from(low);
+        let pairs: Vec<(u32, f64)> = entries
+            .iter()
+            .map(|&(b, low, ms)| (near((b, low)), f64::from(ms) / 1e3))
+            .collect();
+        let table = PolicyTable::from_entries(prefix_len, 3.0, pairs.iter().copied());
+        let mut trie = PrefixTrie::new();
+        for &(prefix, secs) in &pairs {
+            trie.insert(prefix, prefix_len, secs.to_bits());
+        }
+        prop_assert_eq!(table.entries(), trie.len());
+        let addrs = probes.iter().map(|&p| near(p)).chain(pairs.iter().map(|&(a, _)| a));
+        for addr in addrs {
+            let got = table.lookup(addr);
+            match trie.lookup(addr) {
+                Some(&bits) => {
+                    prop_assert!(got.exact, "{:#x}/{} missed", addr, prefix_len);
+                    prop_assert_eq!(got.timeout_secs.to_bits(), bits);
+                }
+                None => {
+                    prop_assert!(!got.exact, "{:#x}/{} matched", addr, prefix_len);
+                    prop_assert_eq!(got.timeout_secs, 3.0);
+                }
+            }
+        }
+    }
+
+    /// A freeze of the map equals a table built through `from_entries`
+    /// from the map's own per-prefix quotes.
+    #[test]
+    fn snapshot_table_matches_from_entries(
+        steps in proptest::collection::vec((any::<u16>(), any::<u8>(), arb_events()), 0..8)
+    ) {
+        for kind in PolicyKind::ONLINE {
+            let mut map = PrefixPolicyMap::for_kind(kind);
+            let mut seen = Vec::new();
+            for &(block, host, ref events) in &steps {
+                let addr = 0x0a00_0000 | u32::from(block) << 8 | u32::from(host);
+                seen.push(addr);
+                map.timeout_for(addr); // tracked even with no events
+                for (i, ev) in events.iter().enumerate() {
+                    match *ev {
+                        Event::Observe { rtt_us } => {
+                            map.observe(addr, RttSample::new(f64::from(rtt_us) / 1e6, i as f64));
+                        }
+                        Event::Timeout => map.on_timeout(addr),
+                    }
+                }
+            }
+            let frozen = map.snapshot_table(3.0);
+            let quotes: Vec<(u32, f64)> =
+                seen.iter().map(|&addr| (addr, map.timeout_for(addr))).collect();
+            let reference = PolicyTable::from_entries(24, 3.0, quotes);
+            prop_assert_eq!(frozen.entries(), reference.entries(), "{}", kind.name());
+            for &addr in seen.iter().chain(&[0x0b00_0001u32]) {
+                let (a, b) = (frozen.lookup(addr), reference.lookup(addr));
+                prop_assert_eq!(a.exact, b.exact, "{}", kind.name());
+                prop_assert_eq!(a.timeout_secs.to_bits(), b.timeout_secs.to_bits(), "{}", kind.name());
+            }
         }
     }
 }

@@ -52,14 +52,20 @@
 //! component observes is a pure function of its inputs and seeds — no
 //! kernel scheduling, no wall time. See DESIGN.md §10.
 //!
+//! * [`alloc`] — [`CountingAlloc`], a counting wrapper over the system
+//!   allocator that a test or benchmark binary installs to price code in
+//!   heap allocations.
+//!
 //! Unsafe policy (DESIGN.md §11): this crate is `#![deny(unsafe_code)]`
-//! with a single `#[allow]` on the private `sys` module, whose safe
-//! wrappers are the only FFI surface in the workspace; every other crate
-//! keeps `#![forbid(unsafe_code)]`.
+//! with an `#[allow]` on two modules only — the private `sys` module,
+//! whose safe wrappers are the only FFI surface in the workspace, and
+//! [`alloc`], whose `GlobalAlloc` impl forwards to the system allocator;
+//! every other crate keeps `#![forbid(unsafe_code)]`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod clock;
 pub mod reactor;
 pub mod rng;
@@ -68,6 +74,7 @@ pub mod swap;
 mod sys;
 pub mod wheel;
 
+pub use alloc::CountingAlloc;
 pub use clock::{process_cpu_time, Clock, SharedClock, VirtualClock, WallClock};
 pub use reactor::{EpollReactor, Event, Interest, StopSignal, Waker};
 pub use rng::{derive_seed, unit_hash, SplitMix64};

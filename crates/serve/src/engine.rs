@@ -21,6 +21,13 @@
 //!   simulated link, which is what makes in-sim campaign results
 //!   transferable to the socket server.
 //!
+//! The request path allocates nothing in steady state. Each reply frame
+//! is encoded in place ([`proto::encode_into`]) into one buffer the
+//! engine reuses, then copied onto the connection's output queue. The
+//! reply cache holds finished wire bytes, so a cache hit is a copy of at
+//! most 24 bytes. Every per-request metric records through a handle
+//! resolved once. `tests/alloc.rs` pins this with a counting allocator.
+//!
 //! Shared-across-shards state (global stats, the policy estimator, the
 //! reload context, the stop signal) lives in [`EngineCore`]; each shard
 //! derives its [`Engine`] from it. The multi-node cluster (ROADMAP
@@ -38,7 +45,9 @@ use beware_runtime::reactor::{Interest, StopSignal};
 use beware_runtime::swap::{Slot, SlotReader};
 use beware_telemetry::{CounterId, HistogramId, Registry, RegistryId};
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -395,6 +404,64 @@ impl<T> Conn<T> {
 /// keeps the structure trivial).
 const CACHE_CAP: usize = 8192;
 
+/// Room for one cached reply frame: an `Answer` is 20 bytes on the wire,
+/// an `Error` 7.
+const CACHED_FRAME: usize = 24;
+
+/// One cached query reply: its finished frame, and how it was answered
+/// (`None` = refused for an unsupported percentile), so a hit counts
+/// exactly like the lookup it replaces.
+#[derive(Debug, Clone, Copy)]
+struct CachedReply {
+    frame: [u8; CACHED_FRAME],
+    len: u8,
+    outcome: Option<Status>,
+}
+
+/// The reply cache key: `(addr, addr_pct, ping_pct)` packed into one word.
+fn cache_key(addr: u32, addr_pct_tenths: u16, ping_pct_tenths: u16) -> u64 {
+    u64::from(addr) << 32 | u64::from(addr_pct_tenths) << 16 | u64::from(ping_pct_tenths)
+}
+
+/// The reply cache's hasher, and its own `BuildHasher`: one multiply per key
+/// instead of SipHash. Keys come from clients, so each engine seeds it at
+/// random — a client cannot aim its queries at one bucket without knowing
+/// the seed.
+#[derive(Debug, Clone, Copy)]
+struct CacheHasher(u64);
+
+impl CacheHasher {
+    fn seeded() -> CacheHasher {
+        CacheHasher(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for CacheHasher {
+    type Hasher = CacheHasher;
+
+    fn build_hasher(&self) -> CacheHasher {
+        *self
+    }
+}
+
+impl Hasher for CacheHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high half depends on every key bit; fold it into
+        // the low bits the table indexes with.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
 /// Default upper bound on one connection's queued-but-unsent reply
 /// bytes. A peer that keeps sending queries without draining its answers
 /// is a slow reader at best and an attacker at worst; past this bound
@@ -422,6 +489,8 @@ struct ServeIds {
     hits_fallback: CounterId,
     cache_hits: CounterId,
     cache_misses: CounterId,
+    report_requests: CounterId,
+    errors_unsupported_pct: CounterId,
     request_ns: HistogramId,
 }
 
@@ -437,6 +506,8 @@ impl ServeIds {
             hits_fallback: reg.counter_id("serve/hits_fallback"),
             cache_hits: reg.counter_id("sched/serve/cache_hits"),
             cache_misses: reg.counter_id("sched/serve/cache_misses"),
+            report_requests: reg.counter_id("serve/report_requests"),
+            errors_unsupported_pct: reg.counter_id("serve/errors_unsupported_pct"),
             request_ns: reg.histogram_id("walltime/serve/request_ns"),
         }
     }
@@ -508,8 +579,9 @@ impl EngineCore {
                 .map(|ctx| PolicyPlane { reader: ctx.table.reader(), ctx: Arc::clone(ctx) }),
             stop: Arc::clone(&self.stop),
             stats: Arc::clone(&self.stats),
-            cache: HashMap::new(),
+            cache: HashMap::with_hasher(CacheHasher::seeded()),
             cache_version: 0,
+            reply: Vec::with_capacity(proto::MAX_FRAME + 2),
             ids: None,
             scratch: vec![0u8; 4096].into_boxed_slice(),
             clock,
@@ -528,10 +600,15 @@ pub struct Engine {
     policy: Option<PolicyPlane>,
     stop: Arc<StopSignal>,
     stats: Arc<GlobalStats>,
-    cache: HashMap<(u32, u16, u16), Message>,
+    /// Query replies as wire bytes, keyed by [`cache_key`].
+    cache: HashMap<u64, CachedReply, CacheHasher>,
     /// Snapshot version the cache's entries were answered from; a swap
-    /// invalidates them wholesale (see `handle_request`).
+    /// invalidates them wholesale (see `answer_query`).
     cache_version: u64,
+    /// The frame of the request being handled: `handle_request` encodes
+    /// (or copies) the reply here, and `service` queues it. Reused, so it
+    /// stops allocating once it has grown to one frame.
+    reply: Vec<u8>,
     /// Metric handles for the last enabled registry `service` was handed.
     ids: Option<ServeIds>,
     scratch: Box<[u8]>,
@@ -678,12 +755,11 @@ impl Engine {
                 Ok(Some((msg, used))) => {
                     consumed += used;
                     let t0 = self.clock.now();
-                    let (reply, close) = self.handle_request(&msg, ids, reg);
-                    let frame = proto::encode(&reply);
+                    let close = self.handle_request(&msg, ids, reg);
                     if let Some(ids) = ids {
-                        reg.add(ids.bytes_out, frame.len() as u64);
+                        reg.add(ids.bytes_out, self.reply.len() as u64);
                     }
-                    self.enqueue_reply(conn, &frame, reg);
+                    self.enqueue_reply(conn, reg);
                     let ns = u64::try_from(self.clock.since(t0).as_nanos()).unwrap_or(u64::MAX);
                     if let Some(ids) = ids {
                         reg.observe(ids.request_ns, ns);
@@ -702,11 +778,12 @@ impl Engine {
                         ProtoError::Version(_) => ErrorCode::BadVersion,
                         _ => ErrorCode::Malformed,
                     };
-                    let frame = proto::encode(&Message::Error { code });
+                    self.reply.clear();
+                    proto::encode_into(&Message::Error { code }, &mut self.reply);
                     if let Some(ids) = ids {
-                        reg.add(ids.bytes_out, frame.len() as u64);
+                        reg.add(ids.bytes_out, self.reply.len() as u64);
                     }
-                    self.enqueue_reply(conn, &frame, reg);
+                    self.enqueue_reply(conn, reg);
                     conn.close_after_flush = true;
                     progress = true;
                 }
@@ -723,107 +800,29 @@ impl Engine {
         progress
     }
 
-    /// Queue a reply frame on a connection, enforcing the output bound.
+    /// Queue the reply frame on a connection, enforcing the output bound.
     /// A peer that has let the cap's worth of bytes pile up is cut off.
-    fn enqueue_reply<T>(&self, conn: &mut Conn<T>, frame: &[u8], reg: &mut Registry) {
-        if conn.backlog() + frame.len() > self.out_queue_cap {
+    fn enqueue_reply<T>(&self, conn: &mut Conn<T>, reg: &mut Registry) {
+        if conn.backlog() + self.reply.len() > self.out_queue_cap {
             reg.scope("faults").scope("serve").incr("queue_overflow_closed");
             conn.open = false;
             return;
         }
-        conn.out.extend_from_slice(frame);
+        conn.out.extend_from_slice(&self.reply);
     }
 
-    /// Dispatch one decoded request. Returns the reply and whether the
-    /// connection should close afterwards.
-    fn handle_request(
-        &mut self,
-        msg: &Message,
-        ids: Option<ServeIds>,
-        reg: &mut Registry,
-    ) -> (Message, bool) {
+    /// Dispatch one decoded request: its reply frame is left in
+    /// `self.reply`. Returns whether the connection should close
+    /// afterwards.
+    fn handle_request(&mut self, msg: &Message, ids: Option<ServeIds>, reg: &mut Registry) -> bool {
         if let Some(ids) = ids {
             reg.incr(ids.requests);
         }
-        match *msg {
+        self.reply.clear();
+        let (reply, close) = match *msg {
             Message::Query { addr, addr_pct_tenths, ping_pct_tenths } => {
-                if let Some(ids) = ids {
-                    reg.incr(ids.queries);
-                }
-                if let Some(plane) = self.policy.as_mut() {
-                    // Policy mode: answer from the last published
-                    // estimator table. Coverage percentiles don't apply
-                    // to an online estimate; they are accepted and
-                    // ignored so clients need no mode-specific query. No
-                    // reply cache either — the table turns over every
-                    // few reports, so a cache would mostly serve
-                    // invalidation.
-                    let table = plane.reader.current();
-                    let ans = table.lookup(addr);
-                    let (status, prefix, prefix_len) = if ans.exact {
-                        (Status::Exact, addr & prefix_mask(table.prefix_len()), table.prefix_len())
-                    } else {
-                        (Status::Fallback, 0, 0)
-                    };
-                    bump_hit(&self.stats, ids, reg, status);
-                    return (
-                        Message::Answer {
-                            status,
-                            timeout_bits: ans.timeout_secs.to_bits(),
-                            prefix,
-                            prefix_len,
-                        },
-                        false,
-                    );
-                }
-                // Resolve the oracle exactly once; the whole answer comes
-                // from this one immutable snapshot, so a swap mid-request
-                // can never produce a torn reply.
-                let oracle = Arc::clone(self.reader.current());
-                if self.reader.version() != self.cache_version {
-                    // Cached replies belong to the previous snapshot.
-                    self.cache.clear();
-                    self.cache_version = self.reader.version();
-                }
-                let key = (addr, addr_pct_tenths, ping_pct_tenths);
-                if let Some(&cached) = self.cache.get(&key) {
-                    if let Some(ids) = ids {
-                        reg.incr(ids.cache_hits);
-                    }
-                    // Deterministic per-request counters must not depend
-                    // on whether this shard's cache happened to hold the
-                    // reply.
-                    match cached {
-                        Message::Answer { status, .. } => bump_hit(&self.stats, ids, reg, status),
-                        Message::Error { .. } => refuse_pct(&self.stats, reg),
-                        _ => {}
-                    }
-                    return (cached, false);
-                }
-                if let Some(ids) = ids {
-                    reg.incr(ids.cache_misses);
-                }
-                let reply = match oracle.lookup(addr, addr_pct_tenths, ping_pct_tenths) {
-                    Ok(ans) => {
-                        bump_hit(&self.stats, ids, reg, ans.status);
-                        Message::Answer {
-                            status: ans.status,
-                            timeout_bits: ans.timeout_bits,
-                            prefix: ans.prefix,
-                            prefix_len: ans.prefix_len,
-                        }
-                    }
-                    Err(LookupError::UnsupportedAddressPercentile(_))
-                    | Err(LookupError::UnsupportedPingPercentile(_)) => {
-                        refuse_pct(&self.stats, reg);
-                        Message::Error { code: ErrorCode::UnsupportedPercentile }
-                    }
-                };
-                if self.cache.len() >= CACHE_CAP {
-                    self.cache.clear();
-                }
-                self.cache.insert(key, reply);
-                (reply, false)
+                self.answer_query(addr, addr_pct_tenths, ping_pct_tenths, ids, reg);
+                return false;
             }
             Message::Stats => {
                 reg.scope("serve").incr("stats_requests");
@@ -859,7 +858,9 @@ impl Engine {
                 (admin_reload(kind, &self.reload, reg), false)
             }
             Message::Report { addr, rtt_us } => {
-                reg.scope("serve").incr("report_requests");
+                if let Some(ids) = ids {
+                    reg.incr(ids.report_requests);
+                }
                 match self.policy.as_ref() {
                     Some(plane) => {
                         let reports = plane.ctx.absorb(addr, rtt_us, &self.stats);
@@ -884,13 +885,105 @@ impl Engine {
                 reg.scope("serve").incr("errors_bad_request");
                 (Message::Error { code: ErrorCode::UnknownOpcode }, false)
             }
+        };
+        proto::encode_into(&reply, &mut self.reply);
+        close
+    }
+
+    /// Answer one `Query` into `self.reply`.
+    fn answer_query(
+        &mut self,
+        addr: u32,
+        addr_pct_tenths: u16,
+        ping_pct_tenths: u16,
+        ids: Option<ServeIds>,
+        reg: &mut Registry,
+    ) {
+        if let Some(ids) = ids {
+            reg.incr(ids.queries);
         }
+        if let Some(plane) = self.policy.as_mut() {
+            // Policy mode: answer from the last published estimator
+            // table. Coverage percentiles don't apply to an online
+            // estimate; they are accepted and ignored so clients need no
+            // mode-specific query. No reply cache either — the table
+            // turns over every few reports, so a cache would mostly serve
+            // invalidation.
+            let table = plane.reader.current();
+            let ans = table.lookup(addr);
+            let (status, prefix, prefix_len) = if ans.exact {
+                (Status::Exact, addr & prefix_mask(table.prefix_len()), table.prefix_len())
+            } else {
+                (Status::Fallback, 0, 0)
+            };
+            bump_hit(&self.stats, ids, reg, status);
+            let answer = Message::Answer {
+                status,
+                timeout_bits: ans.timeout_secs.to_bits(),
+                prefix,
+                prefix_len,
+            };
+            proto::encode_into(&answer, &mut self.reply);
+            return;
+        }
+        // Resolve the oracle exactly once; the whole answer comes from
+        // this one immutable snapshot, so a swap mid-request can never
+        // produce a torn reply.
+        let oracle = Arc::clone(self.reader.current());
+        if self.reader.version() != self.cache_version {
+            // Cached replies belong to the previous snapshot.
+            self.cache.clear();
+            self.cache_version = self.reader.version();
+        }
+        let key = cache_key(addr, addr_pct_tenths, ping_pct_tenths);
+        if let Some(cached) = self.cache.get(&key) {
+            if let Some(ids) = ids {
+                reg.incr(ids.cache_hits);
+            }
+            // Deterministic per-request counters must not depend on
+            // whether this shard's cache happened to hold the reply.
+            match cached.outcome {
+                Some(status) => bump_hit(&self.stats, ids, reg, status),
+                None => refuse_pct(&self.stats, ids, reg),
+            }
+            self.reply.extend_from_slice(&cached.frame[..usize::from(cached.len)]);
+            return;
+        }
+        if let Some(ids) = ids {
+            reg.incr(ids.cache_misses);
+        }
+        let (reply, outcome) = match oracle.lookup(addr, addr_pct_tenths, ping_pct_tenths) {
+            Ok(ans) => {
+                bump_hit(&self.stats, ids, reg, ans.status);
+                let answer = Message::Answer {
+                    status: ans.status,
+                    timeout_bits: ans.timeout_bits,
+                    prefix: ans.prefix,
+                    prefix_len: ans.prefix_len,
+                };
+                (answer, Some(ans.status))
+            }
+            Err(LookupError::UnsupportedAddressPercentile(_))
+            | Err(LookupError::UnsupportedPingPercentile(_)) => {
+                refuse_pct(&self.stats, ids, reg);
+                (Message::Error { code: ErrorCode::UnsupportedPercentile }, None)
+            }
+        };
+        proto::encode_into(&reply, &mut self.reply);
+        let mut frame = [0u8; CACHED_FRAME];
+        frame[..self.reply.len()].copy_from_slice(&self.reply);
+        if self.cache.len() >= CACHE_CAP {
+            self.cache.clear();
+        }
+        self.cache.insert(key, CachedReply { frame, len: self.reply.len() as u8, outcome });
     }
 }
 
-fn refuse_pct(stats: &GlobalStats, reg: &mut Registry) {
+fn refuse_pct(stats: &GlobalStats, ids: Option<ServeIds>, reg: &mut Registry) {
     stats.unsupported_pct.fetch_add(1, Ordering::Relaxed);
-    reg.scope("serve").incr("errors_unsupported_pct");
+    if let Some(ids) = ids {
+        reg.incr(ids.errors_unsupported_pct);
+    }
 }
 
 fn bump_hit(stats: &GlobalStats, ids: Option<ServeIds>, reg: &mut Registry, status: Status) {

@@ -243,75 +243,85 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Encode a message into a complete frame (length prefix included).
+/// Encode a message into a complete frame (length prefix included). The
+/// frame is allocated at its exact size, so a caller that keeps many
+/// frames holds no slack; hot paths use [`encode_into`] instead.
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut body = Vec::with_capacity(MAX_FRAME);
-    body.put_u8(PROTO_VERSION);
+    let mut frame = Vec::with_capacity(MAX_FRAME + 2);
+    encode_into(msg, &mut frame);
+    frame.as_slice().to_vec()
+}
+
+/// Append one complete frame for `msg` to `out`: the length prefix, the
+/// body, then its checksum. Bytes already in `out` are left untouched, so
+/// a caller reusing one buffer allocates nothing once it has grown.
+pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.put_u16_le(0); // length, patched once the body is written
+    let body_at = out.len();
+    out.put_u8(PROTO_VERSION);
     match *msg {
         Message::Query { addr, addr_pct_tenths, ping_pct_tenths } => {
-            body.put_u8(OP_QUERY);
-            body.put_u32_le(addr);
-            body.put_u16_le(addr_pct_tenths);
-            body.put_u16_le(ping_pct_tenths);
+            out.put_u8(OP_QUERY);
+            out.put_u32_le(addr);
+            out.put_u16_le(addr_pct_tenths);
+            out.put_u16_le(ping_pct_tenths);
         }
-        Message::Stats => body.put_u8(OP_STATS),
-        Message::Shutdown => body.put_u8(OP_SHUTDOWN),
+        Message::Stats => out.put_u8(OP_STATS),
+        Message::Shutdown => out.put_u8(OP_SHUTDOWN),
         Message::Answer { status, timeout_bits, prefix, prefix_len } => {
-            body.put_u8(OP_ANSWER);
-            body.put_u8(status as u8);
-            body.put_u64_le(timeout_bits);
-            body.put_u32_le(prefix);
-            body.put_u8(prefix_len);
+            out.put_u8(OP_ANSWER);
+            out.put_u8(status as u8);
+            out.put_u64_le(timeout_bits);
+            out.put_u32_le(prefix);
+            out.put_u8(prefix_len);
         }
         Message::StatsReply { queries, hits_exact, hits_fallback } => {
-            body.put_u8(OP_STATS_REPLY);
-            body.put_u64_le(queries);
-            body.put_u64_le(hits_exact);
-            body.put_u64_le(hits_fallback);
+            out.put_u8(OP_STATS_REPLY);
+            out.put_u64_le(queries);
+            out.put_u64_le(hits_exact);
+            out.put_u64_le(hits_fallback);
         }
-        Message::ShutdownAck => body.put_u8(OP_SHUTDOWN_ACK),
-        Message::SnapshotInfo => body.put_u8(OP_SNAPSHOT_INFO),
+        Message::ShutdownAck => out.put_u8(OP_SHUTDOWN_ACK),
+        Message::SnapshotInfo => out.put_u8(OP_SNAPSHOT_INFO),
         Message::Reload { kind } => {
-            body.put_u8(OP_RELOAD);
-            body.put_u8(kind as u8);
+            out.put_u8(OP_RELOAD);
+            out.put_u8(kind as u8);
         }
         Message::SnapshotInfoReply { version, entries, checksum } => {
-            body.put_u8(OP_SNAPSHOT_INFO_REPLY);
-            body.put_u64_le(version);
-            body.put_u32_le(entries);
-            body.put_u64_le(checksum);
+            out.put_u8(OP_SNAPSHOT_INFO_REPLY);
+            out.put_u64_le(version);
+            out.put_u32_le(entries);
+            out.put_u64_le(checksum);
         }
         Message::Report { addr, rtt_us } => {
-            body.put_u8(OP_REPORT);
-            body.put_u32_le(addr);
-            body.put_u32_le(rtt_us);
+            out.put_u8(OP_REPORT);
+            out.put_u32_le(addr);
+            out.put_u32_le(rtt_us);
         }
         Message::ReportAck { reports } => {
-            body.put_u8(OP_REPORT_ACK);
-            body.put_u64_le(reports);
+            out.put_u8(OP_REPORT_ACK);
+            out.put_u64_le(reports);
         }
         Message::Error { code } => {
-            body.put_u8(OP_ERROR);
-            body.put_u8(code as u8);
+            out.put_u8(OP_ERROR);
+            out.put_u8(code as u8);
         }
     }
-    let mut ck = Checksum::new();
-    ck.add_bytes(&body);
-    let ck = ck.finish();
+    let body_len = out.len() - body_at;
     // Every current payload is far below MAX_FRAME by construction, but a
     // future opcode with a bigger payload would silently truncate the u16
     // length prefix (and desynchronize every decoder downstream) — fail
     // loudly at the encode site instead.
     assert!(
-        body.len() + 2 <= MAX_FRAME,
-        "encoded body ({} bytes + 2 checksum) exceeds MAX_FRAME ({MAX_FRAME})",
-        body.len()
+        body_len + 2 <= MAX_FRAME,
+        "encoded body ({body_len} bytes + 2 checksum) exceeds MAX_FRAME ({MAX_FRAME})"
     );
-    let mut frame = Vec::with_capacity(body.len() + 4);
-    frame.put_u16_le((body.len() + 2) as u16);
-    frame.extend_from_slice(&body);
-    frame.extend_from_slice(&ck.to_be_bytes());
-    frame
+    let mut ck = Checksum::new();
+    ck.add_bytes(&out[body_at..]);
+    let ck = ck.finish();
+    out[start..body_at].copy_from_slice(&((body_len + 2) as u16).to_le_bytes());
+    out.extend_from_slice(&ck.to_be_bytes());
 }
 
 /// Decode a frame body (everything after the length prefix).

@@ -48,7 +48,7 @@ use beware_policy::PolicyKind;
 use beware_runtime::clock::{SharedClock, WallClock};
 use beware_runtime::reactor::{EpollReactor, Event, Interest, StopSignal, Waker};
 use beware_runtime::wheel::DeadlineWheel;
-use beware_telemetry::Registry;
+use beware_telemetry::{CounterId, GaugeId, Registry};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -465,6 +465,26 @@ fn sync_interest(
     }
 }
 
+/// The shard loop's per-wakeup metrics, resolved once per shard so a
+/// wakeup formats no name.
+struct ShardIds {
+    connections_assigned: CounterId,
+    conns_open: GaugeId,
+    epoll_wakeups: CounterId,
+    spurious_wakeups: CounterId,
+}
+
+impl ShardIds {
+    fn resolve(reg: &mut Registry) -> ShardIds {
+        ShardIds {
+            connections_assigned: reg.counter_id("sched/serve/connections_assigned"),
+            conns_open: reg.gauge_id("sched/serve/conns_open"),
+            epoll_wakeups: reg.counter_id("sched/serve/epoll_wakeups"),
+            spurious_wakeups: reg.counter_id("sched/serve/spurious_wakeups"),
+        }
+    }
+}
+
 /// Deadline-wheel key reserved for shard 0's reload poll. Connection
 /// ids count up from zero and can never reach it.
 const RELOAD_WHEEL_KEY: u64 = u64::MAX;
@@ -479,6 +499,7 @@ fn shard_loop(
     cfg: &ServerCfg,
 ) -> Registry {
     let mut reg = if cfg.metrics { Registry::new() } else { Registry::disabled() };
+    let ids = ShardIds::resolve(&mut reg);
     let mut conns: HashMap<u64, Conn<TcpStream>> = HashMap::new();
     // The gauge exists on every shard so the merged export is identical
     // whichever shard (if any) ends up handling a reload.
@@ -505,7 +526,7 @@ fn shard_loop(
         // Adopt newly assigned connections (the acceptor rang our
         // doorbell — or we were between waits anyway).
         while let Ok(stream) = rx.try_recv() {
-            reg.scope("sched").scope("serve").incr("connections_assigned");
+            reg.incr(ids.connections_assigned);
             let id = next_conn_id;
             next_conn_id += 1;
             let conn = Conn::new(id, stream);
@@ -521,7 +542,7 @@ fn shard_loop(
                 }
             }
         }
-        reg.scope("sched").scope("serve").gauge_max("conns_open", conns.len() as u64);
+        reg.gauge_max(ids.conns_open, conns.len() as u64);
 
         if drain_deadline.is_none() && stop.is_stopped() {
             drain_deadline = Some(clock.now() + cfg.drain_timeout);
@@ -584,7 +605,7 @@ fn shard_loop(
             reg.scope("faults").scope("serve").incr("reactor_lost");
             break;
         }
-        reg.scope("sched").scope("serve").incr("epoll_wakeups");
+        reg.incr(ids.epoll_wakeups);
 
         let mut progress = false;
         let mut conn_events = false;
@@ -609,7 +630,7 @@ fn shard_loop(
             sync_interest(&mut reactor, conn, draining, &mut reg);
         }
         if conn_events && !progress {
-            reg.scope("sched").scope("serve").incr("spurious_wakeups");
+            reg.incr(ids.spurious_wakeups);
         }
     }
     reg

@@ -2,7 +2,8 @@
 //! sequence of frames is fragmented — byte at a time, split at every
 //! boundary, or at arbitrary random cut points — feeding the fragments
 //! through an accumulation buffer must decode exactly the same messages
-//! as decoding each whole frame.
+//! as decoding each whole frame. `encode_into` appends exactly what
+//! `encode` returns.
 
 use beware_serve::proto::{self, ErrorCode, Message, Status};
 use proptest::prelude::*;
@@ -34,6 +35,8 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }
         ),
         Just(Message::ShutdownAck),
+        (any::<u32>(), any::<u32>()).prop_map(|(addr, rtt_us)| Message::Report { addr, rtt_us }),
+        any::<u64>().prop_map(|reports| Message::ReportAck { reports }),
         Just(Message::Error { code: ErrorCode::UnsupportedPercentile }),
         Just(Message::Error { code: ErrorCode::Malformed }),
     ]
@@ -100,5 +103,16 @@ proptest! {
             let got = decode_fragmented(&frame, &[cut, frame.len()]);
             prop_assert_eq!(&got, &vec![msg], "split at {}", cut);
         }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_encode(
+        msg in arb_message(),
+        prefix in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let mut out = prefix.clone();
+        proto::encode_into(&msg, &mut out);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &proto::encode(&msg)[..]);
     }
 }
