@@ -4,17 +4,9 @@
 //! Runs as a `harness = false` bench so `cargo bench --workspace` produces
 //! the full reproduction transcript. Set `BEWARE_SCALE=small` for a quick
 //! pass (the default is the bench scale).
-//!
-//! Each run also writes the perf-trajectory report (`BENCH_1.json` at the
-//! workspace root — see [`beware_bench::perf`]): wall-clock, throughput
-//! and thread count per experiment, plus a serial-vs-parallel timing of
-//! the zmap scan campaign on the deterministic worker pool.
 
-use beware_bench::ctx::{run_scan_campaign, run_scan_campaign_with};
-use beware_bench::perf::{CampaignBench, TelemetryBench};
-use beware_bench::{experiments, BenchReport, ExperimentCtx, Scale};
+use beware_bench::{experiments, ExperimentCtx, Scale};
 use beware_netsim::exec::default_threads;
-use beware_telemetry::Registry;
 use std::time::Instant;
 
 fn main() {
@@ -26,15 +18,9 @@ fn main() {
     let scale = if small { Scale::small() } else { Scale::bench() };
     let threads = default_threads();
     println!("== beware paper experiments (scale: {scale:?}, {threads} thread(s)) ==\n");
-    let mut report = BenchReport::new(if small { "small" } else { "bench" }, threads);
 
     let t0 = Instant::now();
     let ctx = ExperimentCtx::build(scale);
-    let build_secs = t0.elapsed().as_secs_f64();
-    let ctx_records = (ctx.survey_w.records.len()
-        + ctx.survey_c.records.len()
-        + ctx.scans.iter().map(|s| s.records.len()).sum::<usize>()) as u64;
-    report.push_with_records("shared_context", build_secs, ctx_records, threads);
     println!(
         "[shared context] surveys {} + {} ({} + {} records), {} zmap scans — built in {:?}\n",
         ctx.survey_w.meta.display_name(),
@@ -45,110 +31,30 @@ fn main() {
         t0.elapsed(),
     );
 
-    let mut step = |name: &str, slug: &str, threads: usize, body: &mut dyn FnMut() -> String| {
+    let step = |name: &str, body: &dyn Fn() -> String| {
         let t = Instant::now();
         let text = body();
-        let secs = t.elapsed().as_secs_f64();
-        report.push(slug, secs, threads);
-        println!("---- {name} ({:.3}s) ----", secs);
+        println!("---- {name} ({:.3}s) ----", t.elapsed().as_secs_f64());
         println!("{text}");
     };
 
-    step("Figure 1", "fig1", 1, &mut || experiments::fig1::run(&ctx).render());
-    step("Figures 2-3", "fig2_3", 1, &mut || experiments::fig2_3::run(&ctx).render());
-    step("Figure 4", "fig4", 1, &mut || experiments::fig4::run(scale.seed).render());
-    step("Figure 5", "fig5", 1, &mut || experiments::fig5::run(&ctx).render());
-    step("Table 1", "table1", 1, &mut || experiments::table1::run(&ctx).render());
-    step("Table 2", "table2", 1, &mut || experiments::table2::run(&ctx).render());
-    step("Figure 6", "fig6", 1, &mut || experiments::fig6::run(&ctx).render());
-    step("Figure 7 / Table 3", "fig7_table3", 1, &mut || experiments::fig7::run(&ctx).render());
-    step("Figure 8", "fig8", threads, &mut || experiments::fig8::run(&ctx).render());
-    step("Figure 9", "fig9", threads, &mut || experiments::fig9::run(&scale).render());
-    step("Figure 10", "fig10", 1, &mut || experiments::fig10::run(&ctx).render());
-    step("Figure 11", "fig11", 1, &mut || experiments::fig11::run(&ctx).render());
-    step("Figures 12-14", "fig12_14", threads, &mut || experiments::fig12_14::run(&ctx).render());
-    step("Tables 4-6", "table4_6", 1, &mut || experiments::table4_6::run(&ctx).render());
-    step("Table 7", "table7", threads, &mut || experiments::table7::run(&ctx).render());
-    step("Ablation: broadcast filter", "ablation", 1, &mut || {
-        experiments::ablation::run(&ctx).render()
-    });
-    step("Section 7 recommendation", "recommendation", 1, &mut || {
-        experiments::recommendation::run(&ctx).render()
-    });
+    step("Figure 1", &|| experiments::fig1::run(&ctx).render());
+    step("Figures 2-3", &|| experiments::fig2_3::run(&ctx).render());
+    step("Figure 4", &|| experiments::fig4::run(scale.seed).render());
+    step("Figure 5", &|| experiments::fig5::run(&ctx).render());
+    step("Table 1", &|| experiments::table1::run(&ctx).render());
+    step("Table 2", &|| experiments::table2::run(&ctx).render());
+    step("Figure 6", &|| experiments::fig6::run(&ctx).render());
+    step("Figure 7 / Table 3", &|| experiments::fig7::run(&ctx).render());
+    step("Figure 8", &|| experiments::fig8::run(&ctx).render());
+    step("Figure 9", &|| experiments::fig9::run(&scale).render());
+    step("Figure 10", &|| experiments::fig10::run(&ctx).render());
+    step("Figure 11", &|| experiments::fig11::run(&ctx).render());
+    step("Figures 12-14", &|| experiments::fig12_14::run(&ctx).render());
+    step("Tables 4-6", &|| experiments::table4_6::run(&ctx).render());
+    step("Table 7", &|| experiments::table7::run(&ctx).render());
+    step("Ablation: broadcast filter", &|| experiments::ablation::run(&ctx).render());
+    step("Section 7 recommendation", &|| experiments::recommendation::run(&ctx).render());
 
-    // The headline fan-out measurement: the scan campaign, serial vs
-    // parallel, on fresh worlds (nothing cached from the context build).
-    // The serial pass reruns even when `threads == 1` so the two numbers
-    // always mean the same thing.
-    let ts = Instant::now();
-    let serial = run_scan_campaign(&ctx.scenario, &scale, 1);
-    let serial_secs = ts.elapsed().as_secs_f64();
-    let tp = Instant::now();
-    let parallel = run_scan_campaign(&ctx.scenario, &scale, threads);
-    let parallel_secs = tp.elapsed().as_secs_f64();
-    assert_eq!(
-        serial.iter().map(|s| s.records.len()).collect::<Vec<_>>(),
-        parallel.iter().map(|s| s.records.len()).collect::<Vec<_>>(),
-        "serial and parallel campaigns diverged"
-    );
-    let campaign = CampaignBench {
-        scans: serial.len(),
-        records: serial.iter().map(|s| s.records.len() as u64).sum(),
-        threads,
-        serial_secs,
-        parallel_secs,
-    };
-    println!(
-        "---- zmap campaign ({} scans): serial {:.3}s, {} thread(s) {:.3}s, speedup {:.2}x ----\n",
-        campaign.scans,
-        serial_secs,
-        threads,
-        parallel_secs,
-        campaign.speedup(),
-    );
-    report.zmap_campaign = Some(campaign);
-
-    // Telemetry overhead: the same campaign with counters off vs on,
-    // best-of-N each to shed scheduler noise (run-to-run swing on a busy
-    // box exceeds the true cost, so the floor needs several samples).
-    // Counters flush once per task, so "on" should track "off" within a
-    // few percent.
-    const TELEMETRY_ITERS: u32 = 5;
-    let mut off_secs = f64::MAX;
-    let mut on_secs = f64::MAX;
-    let mut snapshot = Registry::new();
-    for _ in 0..TELEMETRY_ITERS {
-        let t = Instant::now();
-        let plain = run_scan_campaign(&ctx.scenario, &scale, threads);
-        off_secs = off_secs.min(t.elapsed().as_secs_f64());
-        let mut metrics = Registry::new();
-        let t = Instant::now();
-        let instrumented = run_scan_campaign_with(&ctx.scenario, &scale, threads, &mut metrics);
-        on_secs = on_secs.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            plain.iter().map(|s| s.records.len()).collect::<Vec<_>>(),
-            instrumented.iter().map(|s| s.records.len()).collect::<Vec<_>>(),
-            "telemetry changed the campaign output"
-        );
-        snapshot = metrics;
-    }
-    let telemetry = TelemetryBench {
-        off_secs,
-        on_secs,
-        iterations: TELEMETRY_ITERS,
-        metrics_json: snapshot.to_json(),
-    };
-    println!(
-        "---- telemetry overhead (campaign, best of {TELEMETRY_ITERS}): off {:.3}s, on {:.3}s, {:+.2}% ----\n",
-        telemetry.off_secs,
-        telemetry.on_secs,
-        telemetry.overhead() * 100.0,
-    );
-    report.telemetry = Some(telemetry);
-
-    match report.write_default() {
-        Ok(path) => println!("perf report -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write perf report: {e}"),
-    }
     println!("== all experiments regenerated in {:?} ==", t0.elapsed());
 }

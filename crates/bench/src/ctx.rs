@@ -292,39 +292,6 @@ pub fn run_survey_like_with(
     }
 }
 
-/// Run the whole Zmap scan campaign (`scale.zmap_scans` slots) on
-/// `threads` workers, in slot order. Each slot is independently seeded
-/// from the master seed and the slot index, so the output is identical
-/// for any thread count. [`ExperimentCtx::build_with_threads`] folds the
-/// slots into its larger fan-out; this standalone entry point exists for
-/// the perf harness, which times the campaign serial vs parallel.
-pub fn run_scan_campaign(scenario: &Scenario, scale: &Scale, threads: usize) -> Vec<ZmapScan> {
-    run_scan_campaign_with(scenario, scale, threads, &mut Registry::disabled())
-}
-
-/// [`run_scan_campaign`] with telemetry: each slot records into its own
-/// registry, merged into `metrics` in slot order — identical for any
-/// thread count.
-pub fn run_scan_campaign_with(
-    scenario: &Scenario,
-    scale: &Scale,
-    threads: usize,
-    metrics: &mut Registry,
-) -> Vec<ZmapScan> {
-    let enabled = metrics.enabled();
-    let outs = run_tasks(threads, (0..scale.zmap_scans).collect(), |_, slot| {
-        let mut local = if enabled { Registry::new() } else { Registry::disabled() };
-        let scan = run_scan_slot_with(scenario, scale, slot, &mut local);
-        (scan, local)
-    });
-    outs.into_iter()
-        .map(|(scan, local)| {
-            metrics.merge(&local);
-            scan
-        })
-        .collect()
-}
-
 /// Run one scan slot of the campaign.
 fn run_scan_slot_with(
     scenario: &Scenario,

@@ -21,11 +21,10 @@
 //!   eviction can never change results (see `beware_netsim::space`), and
 //!   the summary is byte-identical across `host_cap` settings too.
 //!
-//! The [`FullSpaceReport`] renders two JSON documents: a deterministic
-//! summary (`summary_json`, the artifact CI `cmp`s across thread counts
-//! and host caps) and the perf-annotated `BENCH_7.json` (`bench_json`,
-//! which adds wall-clock, throughput and the peak-resident-host /
-//! eviction numbers that legitimately vary with configuration).
+//! The [`FullSpaceReport`] renders a deterministic summary
+//! (`summary_json`, the artifact CI `cmp`s across thread counts and host
+//! caps); the wall-clock, peak-resident-host and eviction numbers that
+//! legitimately vary with configuration stay out of it.
 
 use beware_netsim::link::LinkEvent;
 use beware_netsim::scenario::{Scenario, ScenarioCfg, Vantage, VANTAGES};
@@ -281,16 +280,6 @@ pub fn run(cfg: &FullSpaceCfg) -> Result<FullSpaceReport, String> {
 }
 
 impl FullSpaceReport {
-    /// Events per wall-clock second (probes + arrivals) — the headline
-    /// throughput number.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            (self.probes + self.arrivals) as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
     /// The deterministic summary: every field is a pure function of the
     /// campaign identity, so two runs of the same campaign produce
     /// byte-identical documents regardless of `threads`, `host_cap` or
@@ -336,44 +325,16 @@ impl FullSpaceReport {
         out
     }
 
-    /// The `BENCH_7.json` document: the deterministic summary plus the
-    /// run-specific numbers — wall clock, throughput, peak residency,
-    /// evictions, queue peaks and the knobs they depend on.
-    pub fn bench_json(&self) -> String {
-        let c = &self.cfg;
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": 1,\n  \"mode\": \"fullspace\",\n");
-        out.push_str(&format!(
-            "  \"threads\": {}, \"host_cap\": {}, \"quiescence_secs\": {},\n",
-            c.threads,
-            c.host_cap,
-            c.quiescence_secs.map_or("null".to_string(), |q| format!("{q:.6}")),
-        ));
-        out.push_str(&format!(
-            "  \"wall_secs\": {:.6}, \"events_per_sec\": {:.1},\n",
-            self.wall_secs,
-            self.events_per_sec()
-        ));
-        out.push_str(&format!(
-            "  \"peak_resident_hosts\": {}, \"hosts_evicted\": {}, \"link_queue_peak_us\": {},\n",
-            self.peak_resident_hosts, self.hosts_evicted, self.link_queue_peak_us
-        ));
-        out.push_str(&format!("  \"summary\": {}", indent(&self.summary_json())));
-        out.push_str("\n}\n");
-        out
-    }
-
     /// One-paragraph human summary for the CLI.
     pub fn summary_text(&self) -> String {
         format!(
-            "fullspace sweep: {} addresses ({} routed blocks) on {} thread(s) in {:.2}s \
-             ({:.0} events/s)\n  responses {} | unrouted {} | silent {} | link drops {}\n  \
+            "fullspace sweep: {} addresses ({} routed blocks) on {} thread(s) in {:.2}s\n  \
+             responses {} | unrouted {} | silent {} | link drops {}\n  \
              peak resident hosts {} (cap {}) | evicted {} | mean rtt {:.1} ms\n",
             self.probes,
             self.cfg.total_blocks,
             self.cfg.threads,
             self.wall_secs,
-            self.events_per_sec(),
             self.responses,
             self.unrouted,
             self.no_response,
@@ -388,22 +349,6 @@ impl FullSpaceReport {
             },
         )
     }
-}
-
-/// Nest a pretty-printed JSON document two spaces deep.
-fn indent(json: &str) -> String {
-    let trimmed = json.trim_end();
-    let mut out = String::with_capacity(trimmed.len());
-    for (i, line) in trimmed.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-            if !line.is_empty() {
-                out.push_str("  ");
-            }
-        }
-        out.push_str(line);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -454,15 +399,5 @@ mod tests {
         // Still thread-invariant with links attached.
         cfg.threads = 1;
         assert_eq!(run(&cfg).unwrap().summary_json(), partitioned.summary_json());
-    }
-
-    #[test]
-    fn bench_json_embeds_the_summary() {
-        let r = run(&tiny(1, 128)).unwrap();
-        let json = r.bench_json();
-        assert!(json.contains("\"mode\": \"fullspace\""));
-        assert!(json.contains("\"peak_resident_hosts\""));
-        assert!(json.contains("\"rtt_hist_log2_us\""));
-        assert_eq!(json.matches(['{', '[']).count(), json.matches(['}', ']']).count());
     }
 }

@@ -9,7 +9,11 @@
 //! zmap scan campaign, the analysis pipeline) and each `experiments::*`
 //! module derives its table/figure from that context, returning both
 //! structured results (asserted by integration tests) and rendered text
-//! (written to `bench_output.txt` by the `paper_experiments` bench).
+//! (printed by the `paper_experiments` bench).
+//!
+//! [`fullspace`] and [`simserve`] are the campaigns behind `beware
+//! fullspace` and `beware simserve`; their speed is measured by
+//! `crates/benchmark`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,12 +21,10 @@
 pub mod ctx;
 pub mod experiments;
 pub mod fullspace;
-pub mod perf;
 pub mod scale;
 pub mod simserve;
 
 pub use ctx::ExperimentCtx;
 pub use fullspace::{FullSpaceCfg, FullSpaceReport};
-pub use perf::BenchReport;
 pub use scale::Scale;
 pub use simserve::{Regime, SimServeCfg, SimServeReport};

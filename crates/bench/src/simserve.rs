@@ -704,16 +704,6 @@ pub fn run(cfg: &SimServeCfg) -> Result<SimServeReport, String> {
 }
 
 impl SimServeReport {
-    /// Simulation events per wall-clock second — the headline throughput
-    /// number.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.sim_events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
     /// The deterministic summary: every field is a pure function of the
     /// campaign identity, so two runs produce byte-identical documents
     /// regardless of `--threads` — the artifact the CI smoke `cmp`s.
@@ -767,32 +757,11 @@ impl SimServeReport {
         out
     }
 
-    /// The `BENCH_8.json` document: the deterministic summary plus the
-    /// run-specific numbers — wall clock, throughput, and the knobs they
-    /// depend on.
-    pub fn bench_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": 1,\n  \"mode\": \"simserve\",\n");
-        out.push_str(&format!(
-            "  \"threads\": {}, \"wall_secs\": {:.6}, \"events_per_sec\": {:.1},\n",
-            self.cfg.threads,
-            self.wall_secs,
-            self.events_per_sec()
-        ));
-        out.push_str(&format!(
-            "  \"sim_events\": {}, \"queue_peak\": {},\n",
-            self.sim_events, self.queue_peak
-        ));
-        out.push_str(&format!("  \"summary\": {}", indent(&self.summary_json())));
-        out.push_str("\n}\n");
-        out
-    }
-
     /// One-paragraph human summary for the CLI.
     pub fn summary_text(&self) -> String {
         format!(
-            "simserve: {} clients x {} queries ({} regime{}) on {} thread(s) in {:.2}s \
-             ({:.0} events/s)\n  ok {} | wrong {} | timeouts {} | errors {} | link drops {}\n  \
+            "simserve: {} clients x {} queries ({} regime{}) on {} thread(s) in {:.2}s\n  \
+             ok {} | wrong {} | timeouts {} | errors {} | link drops {}\n  \
              served: {} queries ({} exact, {} fallback) | mean rtt {:.1} ms | max {:.1} ms\n",
             self.cfg.clients,
             self.cfg.queries_per_client,
@@ -800,7 +769,6 @@ impl SimServeReport {
             if self.cfg.partition { ", mid-campaign partition" } else { "" },
             self.cfg.threads,
             self.wall_secs,
-            self.events_per_sec(),
             self.ok,
             self.wrong,
             self.timeouts,
@@ -813,22 +781,6 @@ impl SimServeReport {
             self.rtt_max_us as f64 / 1_000.0,
         )
     }
-}
-
-/// Nest a pretty-printed JSON document two spaces deep.
-fn indent(json: &str) -> String {
-    let trimmed = json.trim_end();
-    let mut out = String::with_capacity(trimmed.len());
-    for (i, line) in trimmed.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-            if !line.is_empty() {
-                out.push_str("  ");
-            }
-        }
-        out.push_str(line);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -909,15 +861,6 @@ mod tests {
         // Every attempt after a client's first success carries a Report.
         assert!(r.reports_sent > 0);
         assert!(r.summary_json().contains("\"mode\": \"jacobson-karn\""));
-    }
-
-    #[test]
-    fn bench_json_embeds_the_summary() {
-        let r = run(&tiny(1)).unwrap();
-        let json = r.bench_json();
-        assert!(json.contains("\"mode\": \"simserve\""));
-        assert!(json.contains("\"rtt_hist_log2_us\""));
-        assert_eq!(json.matches(['{', '[']).count(), json.matches(['}', ']']).count());
     }
 
     #[test]

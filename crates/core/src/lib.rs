@@ -41,7 +41,6 @@ pub mod protocols;
 pub mod recommend;
 pub mod report;
 pub mod satellite;
-pub mod sketch;
 pub mod timeout_table;
 pub mod trend;
 pub mod turtles;

@@ -276,8 +276,8 @@ mod tests {
         let mut rtts = base_train(400, 0.3);
         install_decay(&mut rtts, 100..140, 240);
         // Conflicting high latencies after the staircase region.
-        for i in 141..240 {
-            rtts[i] = if i % 2 == 0 { Some(120.0 + (i % 17) as f64) } else { None };
+        for (i, rtt) in rtts.iter_mut().enumerate().take(240).skip(141) {
+            *rtt = if i % 2 == 0 { Some(120.0 + (i % 17) as f64) } else { None };
         }
         let t = classify_streams(&[(1, rtts)], 100.0);
         assert!(t.events.iter().any(|e| e.pattern == HighRttPattern::SustainedHighLatencyAndLoss));
@@ -288,8 +288,8 @@ mod tests {
         let mut rtts = base_train(600, 0.3);
         // Minutes of 90–150 s latencies with half the probes lost; the
         // arrival instants do not line up.
-        for i in 100..400 {
-            rtts[i] = if i % 2 == 0 { Some(90.0 + ((i * 37) % 60) as f64) } else { None };
+        for (i, rtt) in rtts.iter_mut().enumerate().take(400).skip(100) {
+            *rtt = if i % 2 == 0 { Some(90.0 + ((i * 37) % 60) as f64) } else { None };
         }
         let t = classify_streams(&[(3, rtts)], 100.0);
         assert!(!t.events.is_empty());

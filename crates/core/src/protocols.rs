@@ -173,7 +173,7 @@ mod tests {
         assert_eq!(c.seq0_median(Proto::Icmp), Some(3.0));
         assert_eq!(c.rest_median(Proto::Icmp), Some(0.4)); // max of 0.3, 0.4
         assert_eq!(c.seq0_median(Proto::Udp), Some(2.8));
-        assert!(c.seq0.get(&Proto::Tcp).is_none());
+        assert!(!c.seq0.contains_key(&Proto::Tcp));
     }
 
     #[test]
@@ -204,7 +204,7 @@ mod tests {
             ttls: [None, Some(60), None],
         }];
         let c = compare(&results);
-        assert!(c.seq0.get(&Proto::Icmp).is_none());
+        assert!(!c.seq0.contains_key(&Proto::Icmp));
         assert_eq!(c.rest_median(Proto::Icmp), Some(0.5));
     }
 

@@ -141,7 +141,7 @@ mod tests {
     use super::*;
 
     fn meta() -> SurveyMeta {
-        SurveyMeta { name: "IT63w".into(), vantage: 'w', year: 2015, date_label: 2015_01_17 }
+        SurveyMeta { name: "IT63w".into(), vantage: 'w', year: 2015, date_label: 20150117 }
     }
 
     #[test]

@@ -67,9 +67,8 @@ proptest! {
         // Either the framing breaks (Corrupt/Io) or the checksum catches
         // it; silently succeeding with different records is the only
         // unacceptable outcome.
-        match binfmt::read_records(&mut &buf[..]) {
-            Ok(back) => prop_assert_eq!(back, records, "corruption silently accepted"),
-            Err(_) => {}
+        if let Ok(back) = binfmt::read_records(&mut &buf[..]) {
+            prop_assert_eq!(back, records, "corruption silently accepted");
         }
     }
 
@@ -142,13 +141,12 @@ proptest! {
         let idx = 8 + pos.index(buf.len() - 8);
         prop_assume!(buf[idx] != byte);
         buf[idx] = byte;
-        match snapshot::read_snapshot(&mut &buf[..]) {
-            // Accepting the corrupted bytes is only sound if they decode
-            // to the very same snapshot (impossible here since one byte
-            // differs and the encoding is canonical — so any Ok must
-            // compare unequal and fail the test).
-            Ok(back) => prop_assert_eq!(back, snap, "corruption silently accepted"),
-            Err(_) => {}
+        // Accepting the corrupted bytes is only sound if they decode to
+        // the very same snapshot (impossible here since one byte differs
+        // and the encoding is canonical — so any Ok must compare unequal
+        // and fail the test).
+        if let Ok(back) = snapshot::read_snapshot(&mut &buf[..]) {
+            prop_assert_eq!(back, snap, "corruption silently accepted");
         }
     }
 }

@@ -381,9 +381,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let h = std::thread::spawn(move || {
-            // Serve exactly the connections the tests open, then exit.
-            for stream in listener.incoming().flatten() {
-                let mut stream = stream;
+            // Serve one connection per test server, then exit.
+            if let Some(mut stream) = listener.incoming().flatten().next() {
                 let mut buf = [0u8; 1024];
                 loop {
                     match stream.read(&mut buf) {
@@ -395,7 +394,6 @@ mod tests {
                         }
                     }
                 }
-                break; // one connection per test server
             }
         });
         (addr, h)

@@ -269,7 +269,7 @@ mod tests {
     fn stall_reads_as_timeout() {
         let cfg = FaultCfg { stall_prob: 1.0, ..FaultCfg::disabled(2) };
         let mut t = FaultyTransport::new(Loopback::default(), cfg, 0);
-        t.write(b"hello").unwrap();
+        t.write_all(b"hello").unwrap();
         let mut buf = [0u8; 8];
         let err = t.read(&mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
@@ -285,7 +285,7 @@ mod tests {
         let cfg = FaultCfg { delay_prob: 1.0, max_delay_ms: 150_000, ..FaultCfg::disabled(8) };
         let mut t = FaultyTransport::with_clock(Loopback::default(), cfg, 0, vc.handle());
         let wall = std::time::Instant::now();
-        t.write(b"x").unwrap();
+        t.write_all(b"x").unwrap();
         assert!(vc.now() >= Duration::from_millis(1), "the delay advanced virtual time");
         assert!(
             wall.elapsed() < Duration::from_secs(5),

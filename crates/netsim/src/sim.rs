@@ -281,11 +281,13 @@ mod tests {
 
         fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
             // Sequence number encodes the send second.
-            if let crate::packet::L4::Icmp { kind, .. } = &pkt.l4 {
-                if let beware_wire::icmp::IcmpKind::EchoReply { seq, .. } = kind {
-                    let sent = f64::from(*seq);
-                    self.rtts.push(ctx.now().as_secs_f64() - sent);
-                }
+            if let crate::packet::L4::Icmp {
+                kind: beware_wire::icmp::IcmpKind::EchoReply { seq, .. },
+                ..
+            } = &pkt.l4
+            {
+                let sent = f64::from(*seq);
+                self.rtts.push(ctx.now().as_secs_f64() - sent);
             }
         }
 

@@ -557,11 +557,6 @@ impl EngineCore {
         &self.handle
     }
 
-    /// The stop signal a `Shutdown` frame raises.
-    pub fn stop_signal(&self) -> &Arc<StopSignal> {
-        &self.stop
-    }
-
     pub(crate) fn reload_source(&self) -> Option<&PathBuf> {
         self.reload.source.as_ref()
     }

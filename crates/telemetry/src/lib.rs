@@ -331,11 +331,6 @@ impl Registry {
         Registry::build(true, Some(clock))
     }
 
-    /// Install (or replace) the span-timer clock on an existing registry.
-    pub fn set_clock(&mut self, clock: SharedClock) {
-        self.clock = Some(clock);
-    }
-
     /// Whether recording is live.
     pub fn enabled(&self) -> bool {
         self.enabled

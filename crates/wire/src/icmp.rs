@@ -56,17 +56,6 @@ pub enum IcmpKind {
 }
 
 impl IcmpKind {
-    /// The on-wire type byte.
-    pub fn type_byte(self) -> u8 {
-        match self {
-            IcmpKind::EchoRequest { .. } => TYPE_ECHO_REQUEST,
-            IcmpKind::EchoReply { .. } => TYPE_ECHO_REPLY,
-            IcmpKind::DestUnreachable { .. } => TYPE_DEST_UNREACHABLE,
-            IcmpKind::TimeExceeded { .. } => TYPE_TIME_EXCEEDED,
-            IcmpKind::Other { ty, .. } => ty,
-        }
-    }
-
     /// True for echo request or reply.
     pub fn is_echo(self) -> bool {
         matches!(self, IcmpKind::EchoRequest { .. } | IcmpKind::EchoReply { .. })

@@ -123,37 +123,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    let flags = match Flags::parse(rest) {
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        eprintln!("error: unknown command `{cmd}`\n\n{USAGE}");
+        return ExitCode::from(2);
+    };
+    let flags = match Flags::parse(command, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "campaign" => cmd_campaign(&flags),
-        "survey" => cmd_survey(&flags),
-        "scan" => cmd_scan(&flags),
-        "census" => cmd_census(&flags),
-        "analyze" => cmd_analyze(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "recommend" => cmd_recommend(&flags),
-        "serve" => cmd_serve(&flags),
-        "query" => cmd_query(&flags),
-        "admin" => cmd_admin(&flags),
-        "loadgen" => cmd_loadgen(&flags),
-        "shootout" => cmd_shootout(&flags),
-        "fullspace" => cmd_fullspace(&flags),
-        "simserve" => cmd_simserve(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown command `{other}`"))),
-    };
-    match result {
+    match (command.run)(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -199,13 +184,13 @@ commands:
              [--metrics shootout-metrics.json] | --list-policies
   fullspace  [--bits N] [--base A.B.C.D] [--blocks N] [--year Y] [--seed S]
              [--vantage w|c|j|g] [--threads N] [--lazy-hosts CAP] [--quiescence SECS]
-             [--probe-ns NS] [--chunk-bits N] [--out summary.json] [--bench BENCH_7.json]
+             [--probe-ns NS] [--chunk-bits N] [--out summary.json]
              [--event kind:tier:id:from:until[:scale]]  (e.g. degrade:access:0x0100:10:60:0.01,
              partition:core:64512:30:inf; tiers: access=/16 idx, core=ASN, spine=continent)
   simserve   [--clients N] [--queries N] [--cell-bits B] [--seed S]
              [--regime steady|covid_step|diurnal_drift] [--partition]
              [--interval-us U] [--threads N] [--policy NAME]
-             [--out summary.json] [--bench BENCH_8.json]
+             [--out summary.json]
              (oracle server + N closed-loop clients inside the netsim;
              summary is byte-identical across --threads and repeat runs)
   chaos      [--snapshot snap.bwts | --survey survey.bwss] [--seed S]
@@ -214,32 +199,108 @@ commands:
 
 exit codes: 0 ok | 1 runtime failure | 2 usage/config | 3 file I/O | 4 corrupt snapshot";
 
+/// One subcommand: its name, every flag it (or a helper it calls) reads
+/// (space-separated), and its body.
+struct Command {
+    name: &'static str,
+    flags: &'static str,
+    run: fn(&Flags) -> Result<(), CliError>,
+}
+
+impl Command {
+    fn reads(&self, flag: &str) -> bool {
+        self.flags.split(' ').any(|f| f == flag)
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command { name: "generate", flags: "blocks year seed out", run: cmd_generate },
+    Command {
+        name: "campaign",
+        flags: "out threads scale blocks survey-blocks rounds scans seed metrics",
+        run: cmd_campaign,
+    },
+    Command { name: "survey", flags: "plan rounds sample seed vantage out", run: cmd_survey },
+    Command { name: "scan", flags: "plan duration seed vantage out", run: cmd_scan },
+    Command { name: "census", flags: "plan count duration seed vantage out", run: cmd_census },
+    Command { name: "analyze", flags: "survey csv", run: cmd_analyze },
+    Command { name: "metrics", flags: "in", run: cmd_metrics },
+    Command { name: "recommend", flags: "survey addr-pct ping-pct timeout", run: cmd_recommend },
+    Command {
+        name: "serve",
+        flags: "snapshot survey prefix-len min-addrs bind port shards read-timeout policy \
+                reload-from reload-poll save-snapshot metrics",
+        run: cmd_serve,
+    },
+    Command { name: "query", flags: "host addr addr-pct ping-pct op", run: cmd_query },
+    Command { name: "admin", flags: "op host kind base target out", run: cmd_admin },
+    Command {
+        name: "loadgen",
+        flags: "host snapshot survey prefix-len min-addrs workers requests addr-pct ping-pct seed \
+                report-rtts out conns hot-workers shards idle-settle reload-bench gap-ms \
+                cooldown-ms",
+        run: cmd_loadgen,
+    },
+    Command {
+        name: "shootout",
+        flags: "blocks rounds round-secs seed threads addr-pct ping-pct penalty out metrics \
+                list-policies",
+        run: cmd_shootout,
+    },
+    Command {
+        name: "fullspace",
+        flags: "bits base blocks year seed vantage threads lazy-hosts quiescence probe-ns \
+                chunk-bits out event",
+        run: cmd_fullspace,
+    },
+    Command {
+        name: "simserve",
+        flags: "clients queries cell-bits seed regime partition interval-us threads policy out",
+        run: cmd_simserve,
+    },
+    Command {
+        name: "chaos",
+        flags: "snapshot survey prefix-len min-addrs seed profile workers requests shards metrics",
+        run: cmd_chaos,
+    },
+];
+
 /// Flags that are pure switches: present means `true`, no value token.
 const SWITCH_FLAGS: &[&str] = &["list-policies", "report-rtts", "partition"];
 
-/// Parsed `--name value` flags.
-struct Flags(HashMap<String, String>);
+/// Parsed `--name value` flags, restricted to the ones the command reads.
+struct Flags {
+    values: HashMap<String, String>,
+    command: &'static Command,
+}
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut map = HashMap::new();
+    /// Parse `args` for `command`. A flag the command does not read is a
+    /// usage error, so a typo fails before any work instead of silently
+    /// running with the default.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Flags, String> {
+        let mut values = HashMap::new();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let name = flag
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got `{flag}`"))?;
+            if !command.reads(name) {
+                return Err(format!("unknown flag --{name} for `{}`", command.name));
+            }
             if SWITCH_FLAGS.contains(&name) {
-                map.insert(name.to_string(), "true".to_string());
+                values.insert(name.to_string(), "true".to_string());
                 continue;
             }
             let value = it.next().ok_or_else(|| format!("flag --{name} needs a value"))?;
-            map.insert(name.to_string(), value.clone());
+            values.insert(name.to_string(), value.clone());
         }
-        Ok(Flags(map))
+        Ok(Flags { values, command })
     }
 
     fn str(&self, name: &str) -> Option<&str> {
-        self.0.get(name).map(String::as_str)
+        debug_assert!(self.command.reads(name), "--{name} is read but not in the command's table");
+        self.values.get(name).map(String::as_str)
     }
 
     fn required(&self, name: &str) -> Result<&str, CliError> {
@@ -1347,10 +1408,6 @@ fn cmd_fullspace(flags: &Flags) -> Result<(), CliError> {
             .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
         println!("summary -> {out}");
     }
-    let bench = flags.str("bench").unwrap_or("BENCH_7.json");
-    std::fs::write(bench, report.bench_json())
-        .map_err(|e| CliError::Io(format!("writing {bench}: {e}")))?;
-    println!("fullspace complete on {} thread(s) -> {bench}", cfg.threads);
     Ok(())
 }
 
@@ -1392,9 +1449,5 @@ fn cmd_simserve(flags: &Flags) -> Result<(), CliError> {
             .map_err(|e| CliError::Io(format!("writing {out}: {e}")))?;
         println!("summary -> {out}");
     }
-    let bench = flags.str("bench").unwrap_or("BENCH_8.json");
-    std::fs::write(bench, report.bench_json())
-        .map_err(|e| CliError::Io(format!("writing {bench}: {e}")))?;
-    println!("simserve complete on {} thread(s) -> {bench}", cfg.threads);
     Ok(())
 }

@@ -13,8 +13,10 @@ fn beware(args: &[&str], dir: &std::path::Path) -> Output {
         .expect("binary runs")
 }
 
+/// A fresh, empty directory for one test.
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("beware-cli-test-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
@@ -518,4 +520,65 @@ fn shootout_cli_is_thread_count_invariant() {
     );
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag the subcommand does not read is a usage error raised before
+/// any work: a typo must not silently run with the default, and a
+/// retired flag must not be silently ignored.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = tempdir("unknown-flags");
+    let cases: [&[&str]; 3] = [
+        &["simserve", "--clients", "64", "--polcy", "codel-quantile", "--out", "s.json"],
+        &["fullspace", "--bits", "16", "--bench", "BENCH_7.json", "--out", "f.json"],
+        // Valid for another subcommand, but not this one.
+        &["generate", "--blocks", "16", "--threads", "2", "--out", "plan.tsv"],
+    ];
+    for args in cases {
+        let out = beware(args, &dir);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| ["--polcy", "--bench", "--threads"].contains(a)).unwrap();
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{args:?}: {stderr}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "a rejected command wrote {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `fullspace` and `simserve` write their `--out` summary and nothing
+/// else, and the summary is byte-identical across thread counts.
+#[test]
+fn campaign_commands_write_only_their_summary() {
+    let runs: [(&str, &[&str]); 2] = [
+        (
+            "fullspace",
+            &["--bits", "16", "--base", "1.0.0.0", "--blocks", "128", "--chunk-bits", "12"],
+        ),
+        ("simserve", &["--clients", "3000", "--queries", "2", "--cell-bits", "10"]),
+    ];
+    for (cmd, args) in runs {
+        let dir = tempdir(cmd);
+        for threads in ["1", "2"] {
+            let out_name = format!("t{threads}.json");
+            let mut argv = vec![cmd, "--threads", threads, "--out", &out_name];
+            argv.extend_from_slice(args);
+            let out = beware(&argv, &dir);
+            assert!(out.status.success(), "{cmd}: {}", String::from_utf8_lossy(&out.stderr));
+        }
+        let a = std::fs::read(dir.join("t1.json")).unwrap();
+        assert!(!a.is_empty());
+        assert_eq!(
+            a,
+            std::fs::read(dir.join("t2.json")).unwrap(),
+            "{cmd} summary depends on threads"
+        );
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["t1.json", "t2.json"], "{cmd} left stray files");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
