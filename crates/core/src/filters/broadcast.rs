@@ -121,6 +121,25 @@ mod tests {
     }
 
     #[test]
+    fn latency_of_exactly_min_latency_counts() {
+        // "latency ≥ 10 s": a steady responder at exactly 10 s is marked.
+        let d: Vec<DelayedResponse> = (0..100).map(|r| delayed(4, r, 10)).collect();
+        let marked = detect_broadcast_responders(&d, &BroadcastFilterCfg::default());
+        assert!(marked.contains(&4));
+    }
+
+    #[test]
+    fn ewma_of_exactly_the_threshold_is_not_marked() {
+        // "values > 0.2": with α = 0.5 one hit lifts the EWMA to exactly
+        // 0.5, which a 0.5 threshold does not mark.
+        let cfg = BroadcastFilterCfg { alpha: 0.5, mark_threshold: 0.5, ..Default::default() };
+        let d = steady_responder(6, 2);
+        assert!(detect_broadcast_responders(&d, &cfg).is_empty());
+        let d = steady_responder(6, 3);
+        assert!(detect_broadcast_responders(&d, &cfg).contains(&6));
+    }
+
+    #[test]
     fn tolerance_allows_second_quantization_wobble() {
         // Latency alternates 330/331 (timestamp truncation): still marked.
         let d: Vec<DelayedResponse> = (0..100).map(|r| delayed(3, r, 330 + r % 2)).collect();

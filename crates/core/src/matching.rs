@@ -139,6 +139,16 @@ mod tests {
     }
 
     #[test]
+    fn response_in_the_request_second_matches_it() {
+        // Whole-second timestamps: a response logged in the same second
+        // as its request is a 0 s latency, not a response before it.
+        let records = vec![Record::timeout(A, 100), Record::unmatched(A, 100)];
+        let m = match_unmatched(&records);
+        assert_eq!(m.delayed, vec![DelayedResponse { addr: A, sent_s: 100, latency_s: 0 }]);
+        assert!(m.leftovers.is_empty());
+    }
+
+    #[test]
     fn response_before_any_request_is_leftover() {
         let records = vec![Record::unmatched(A, 50), Record::timeout(A, 100)];
         let m = match_unmatched(&records);

@@ -21,8 +21,8 @@ pub const PAPER_PERCENTILES: [f64; 7] = [1.0, 50.0, 80.0, 90.0, 95.0, 98.0, 99.0
 /// `⌈q·n⌉`, clamped into `1..=n`.
 ///
 /// The product is snapped to the nearest integer before the ceiling when
-/// it lands within float error of one: `0.9 * 10` evaluates to
-/// `9.000000000000002` in f64, and a plain `ceil()` would quote rank 10 —
+/// it lands within float error of one: `0.14 * 50` evaluates to
+/// `7.000000000000001` in f64, and a plain `ceil()` would quote rank 8 —
 /// one sample higher than the nearest-rank definition asks for. Every
 /// quantile consumer in the repo (offline tables, the CoDel window, the
 /// loadgen report) must route through this so on- and offline ranks agree.
@@ -259,8 +259,13 @@ mod tests {
 
     #[test]
     fn integral_rank_products_do_not_drift_up() {
-        // 0.9 * 10 is 9.000000000000002 in f64; a plain ceil() quotes
-        // rank 10. Nearest-rank says rank 9.
+        // 0.14 * 50 is 7.000000000000001 in f64; a plain ceil() quotes
+        // rank 8. Nearest-rank says rank 7.
+        let q = 0.14;
+        assert!(q * 50.0 > 7.0, "the premise: the product overshoots");
+        assert_eq!(nearest_rank(q, 50), 7);
+        let s: Vec<f64> = (1..=50).map(f64::from).collect();
+        assert_eq!(percentile_sorted(&s, 14.0), Some(7.0));
         let s: Vec<f64> = (1..=10).map(f64::from).collect();
         assert_eq!(percentile_sorted(&s, 90.0), Some(9.0));
         assert_eq!(percentile_sorted(&s, 30.0), Some(3.0));

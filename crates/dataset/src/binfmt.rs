@@ -16,7 +16,7 @@
 //! stays near 100 MB — the reason this exists instead of serde to JSON.
 
 use crate::record::{Record, RecordKind};
-use bytes::{Buf, BufMut};
+use beware_wire::{Cursor, WireError};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"BWSV";
@@ -48,6 +48,14 @@ impl From<io::Error> for DecodeError {
     }
 }
 
+/// Cursor reads run over exact-length sections, so an underflow is the
+/// section's bytes missing: an I/O-level truncation.
+impl From<WireError> for DecodeError {
+    fn from(e: WireError) -> Self {
+        DecodeError::Io(e.into())
+    }
+}
+
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -64,8 +72,9 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Fletcher-64-style running checksum (two u64 accumulators over u32
-/// words; simple, fast, and order-sensitive). Shared with the snapshot
-/// codec ([`crate::snapshot`]), which frames its payload the same way.
+/// words; simple, fast, and order-sensitive). Shared with the streaming
+/// and snapshot codecs ([`crate::stream`], [`crate::snapshot`]), which
+/// frame their payloads the same way.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Fletcher {
     a: u64,
@@ -85,34 +94,63 @@ impl Fletcher {
     pub(crate) fn finish(self) -> u64 {
         (self.b << 32) | self.a
     }
+
+    /// The checksum of `bytes` hashed in one call.
+    pub(crate) fn of(bytes: &[u8]) -> u64 {
+        let mut checksum = Fletcher::default();
+        checksum.update(bytes);
+        checksum.finish()
+    }
 }
 
-fn encode_record(r: &Record, buf: &mut Vec<u8>) {
+/// Append one record: tag, address, send time, tag-specific payload.
+/// Shared with [`crate::stream`].
+pub(crate) fn encode_record(r: &Record, buf: &mut Vec<u8>) {
+    let tag = match r.kind {
+        RecordKind::Matched { .. } => 0,
+        RecordKind::Timeout => 1,
+        RecordKind::Unmatched { .. } => 2,
+        RecordKind::IcmpError { .. } => 3,
+    };
+    buf.push(tag);
+    buf.extend_from_slice(&r.addr.to_le_bytes());
+    buf.extend_from_slice(&r.time_s.to_le_bytes());
     match r.kind {
-        RecordKind::Matched { rtt_us } => {
-            buf.put_u8(0);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-            buf.put_u32_le(rtt_us);
+        RecordKind::Matched { rtt_us: v } | RecordKind::Unmatched { recv_s: v } => {
+            buf.extend_from_slice(&v.to_le_bytes())
         }
-        RecordKind::Timeout => {
-            buf.put_u8(1);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-        }
-        RecordKind::Unmatched { recv_s } => {
-            buf.put_u8(2);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-            buf.put_u32_le(recv_s);
-        }
-        RecordKind::IcmpError { code } => {
-            buf.put_u8(3);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-            buf.put_u8(code);
-        }
+        RecordKind::Timeout => {}
+        RecordKind::IcmpError { code } => buf.push(code),
     }
+}
+
+/// Read the rest of a record whose tag byte `tag` was just read from
+/// `input`, fold the whole record into `checksum`, and decode it.
+/// `Ok(None)` means `tag` names no record kind. Shared with
+/// [`crate::stream`].
+pub(crate) fn decode_record<R: Read>(
+    input: &mut R,
+    tag: u8,
+    checksum: &mut Fletcher,
+) -> io::Result<Option<Record>> {
+    let len = match tag {
+        0 | 2 => 13,
+        1 => 9,
+        3 => 10,
+        _ => return Ok(None),
+    };
+    let mut raw = [tag; 13];
+    input.read_exact(&mut raw[1..len])?;
+    checksum.update(&raw[..len]);
+    let mut b = Cursor::new(&raw[1..len]);
+    let (addr, time_s) = (b.u32()?, b.u32()?);
+    let kind = match tag {
+        0 => RecordKind::Matched { rtt_us: b.u32()? },
+        1 => RecordKind::Timeout,
+        2 => RecordKind::Unmatched { recv_s: b.u32()? },
+        _ => RecordKind::IcmpError { code: b.u8()? },
+    };
+    Ok(Some(Record { addr, time_s, kind }))
 }
 
 /// Serialize `records` to `out`.
@@ -126,12 +164,8 @@ fn encode_record(r: &Record, buf: &mut Vec<u8>) {
 /// assert_eq!(binfmt::read_records(&mut &buf[..]).unwrap(), records);
 /// ```
 pub fn write_records<W: Write>(out: &mut W, records: &[Record]) -> io::Result<()> {
-    let mut header = Vec::with_capacity(16);
-    header.put_slice(MAGIC);
-    header.put_u16_le(VERSION);
-    header.put_u16_le(0);
-    header.put_u64_le(records.len() as u64);
-    out.write_all(&header)?;
+    let count = (records.len() as u64).to_le_bytes();
+    out.write_all(&[&MAGIC[..], &VERSION.to_le_bytes(), &[0, 0], &count].concat())?;
 
     let mut checksum = Fletcher::default();
     let mut buf = Vec::with_capacity(16);
@@ -149,43 +183,23 @@ pub fn write_records<W: Write>(out: &mut W, records: &[Record]) -> io::Result<()
 pub fn read_records<R: Read>(input: &mut R) -> Result<Vec<Record>, DecodeError> {
     let mut header = [0u8; 16];
     input.read_exact(&mut header)?;
-    let mut h = &header[..];
-    let mut magic = [0u8; 4];
-    h.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut h = Cursor::new(&header);
+    if h.take(4)? != MAGIC {
         return Err(DecodeError::Corrupt("bad magic"));
     }
-    if h.get_u16_le() != VERSION {
+    if h.u16()? != VERSION {
         return Err(DecodeError::Corrupt("unsupported version"));
     }
-    let _reserved = h.get_u16_le();
-    let count = h.get_u64_le();
+    let _reserved = h.u16()?;
+    let count = h.u64()?;
 
     let mut checksum = Fletcher::default();
     let mut records = Vec::with_capacity(count.min(1 << 24) as usize);
-    let mut scratch = [0u8; 13];
+    let mut tag = [0u8];
     for _ in 0..count {
-        input.read_exact(&mut scratch[..1])?;
-        let tag = scratch[0];
-        let body_len = match tag {
-            0 | 2 => 12,
-            1 => 8,
-            3 => 9,
-            _ => return Err(DecodeError::Corrupt("unknown record tag")),
-        };
-        input.read_exact(&mut scratch[1..1 + body_len])?;
-        checksum.update(&scratch[..1 + body_len]);
-        let mut b = &scratch[1..1 + body_len];
-        let addr = b.get_u32_le();
-        let time_s = b.get_u32_le();
-        let kind = match tag {
-            0 => RecordKind::Matched { rtt_us: b.get_u32_le() },
-            1 => RecordKind::Timeout,
-            2 => RecordKind::Unmatched { recv_s: b.get_u32_le() },
-            3 => RecordKind::IcmpError { code: b.get_u8() },
-            _ => unreachable!("tag validated above"),
-        };
-        records.push(Record { addr, time_s, kind });
+        input.read_exact(&mut tag)?;
+        let record = decode_record(input, tag[0], &mut checksum)?;
+        records.push(record.ok_or(DecodeError::Corrupt("unknown record tag"))?);
     }
 
     let mut trailer = [0u8; 8];

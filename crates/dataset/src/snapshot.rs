@@ -58,7 +58,7 @@
 //! is an error, never something in between.
 
 use crate::binfmt::{DecodeError, Fletcher};
-use bytes::{Buf, BufMut};
+use beware_wire::Cursor;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"BWTS";
@@ -319,23 +319,23 @@ fn encode_body(snap: &TimeoutSnapshot) -> Vec<u8> {
             + 8 * cells * (1 + snap.entries.len())
             + 5 * snap.entries.len(),
     );
-    body.put_u16_le(snap.address_pct_tenths.len() as u16);
-    body.put_u16_le(snap.ping_pct_tenths.len() as u16);
-    body.put_u32_le(snap.entries.len() as u32);
+    body.extend_from_slice(&(snap.address_pct_tenths.len() as u16).to_le_bytes());
+    body.extend_from_slice(&(snap.ping_pct_tenths.len() as u16).to_le_bytes());
+    body.extend_from_slice(&(snap.entries.len() as u32).to_le_bytes());
     for &l in &snap.address_pct_tenths {
-        body.put_u16_le(l);
+        body.extend_from_slice(&l.to_le_bytes());
     }
     for &l in &snap.ping_pct_tenths {
-        body.put_u16_le(l);
+        body.extend_from_slice(&l.to_le_bytes());
     }
     for &c in &snap.fallback {
-        body.put_u64_le(c);
+        body.extend_from_slice(&c.to_le_bytes());
     }
     for e in &snap.entries {
-        body.put_u32_le(e.prefix);
-        body.put_u8(e.len);
+        body.extend_from_slice(&e.prefix.to_le_bytes());
+        body.push(e.len);
         for &c in &e.cells {
-            body.put_u64_le(c);
+            body.extend_from_slice(&c.to_le_bytes());
         }
     }
     body
@@ -346,100 +346,135 @@ fn encode_body(snap: &TimeoutSnapshot) -> Vec<u8> {
 /// the identity of a snapshot file can be read off its last 8 bytes.
 /// Two snapshots encode byte-identically iff their checksums agree.
 pub fn snapshot_checksum(snap: &TimeoutSnapshot) -> u64 {
-    let mut checksum = Fletcher::default();
-    checksum.update(&encode_body(snap));
-    checksum.finish()
+    Fletcher::of(&encode_body(snap))
 }
 
 /// Serialize a snapshot. Fails with `InvalidInput` when the snapshot is
 /// not in canonical form (see [`TimeoutSnapshot::validate`]).
 pub fn write_snapshot<W: Write>(out: &mut W, snap: &TimeoutSnapshot) -> io::Result<()> {
     snap.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let mut header = Vec::with_capacity(8);
-    header.put_slice(MAGIC);
-    header.put_u16_le(VERSION);
-    header.put_u16_le(0);
-    out.write_all(&header)?;
+    write_framed(out, MAGIC, &encode_body(snap))
+}
 
-    let body = encode_body(snap);
-    let mut checksum = Fletcher::default();
-    checksum.update(&body);
-    out.write_all(&body)?;
-    out.write_all(&checksum.finish().to_le_bytes())?;
-    Ok(())
+/// The 8-byte header: magic, version, reserved.
+fn header(magic: &[u8; 4]) -> Vec<u8> {
+    [&magic[..], &VERSION.to_le_bytes(), &[0, 0]].concat()
+}
+
+/// Write `body` between its header and its checksum trailer.
+fn write_framed<W: Write>(out: &mut W, magic: &[u8; 4], body: &[u8]) -> io::Result<()> {
+    out.write_all(&header(magic))?;
+    out.write_all(body)?;
+    out.write_all(&Fletcher::of(body).to_le_bytes())
+}
+
+/// The cell count of an `r × c` grid, checked before anything is
+/// allocated from it. Levels are strictly increasing in
+/// `(0, MAX_PCT_TENTHS]`, so no valid axis has more than
+/// [`MAX_PCT_TENTHS`] of them.
+fn grid_cells(r_count: u16, c_count: u16) -> Result<usize, DecodeError> {
+    if r_count == 0 || c_count == 0 {
+        return Err(DecodeError::Corrupt("empty percentile levels"));
+    }
+    if r_count > MAX_PCT_TENTHS || c_count > MAX_PCT_TENTHS {
+        return Err(DecodeError::Corrupt("percentile level count exceeds sanity cap"));
+    }
+    Ok(usize::from(r_count) * usize::from(c_count))
+}
+
+/// Reads a snapshot or delta body section by section, keeping every body
+/// byte for the trailer checksum. `Fletcher::update` pads each call to
+/// 4-byte words, so the digest depends on call boundaries; the body is
+/// hashed in one call exactly as the writers do.
+struct BodyReader<'a, R> {
+    input: &'a mut R,
+    body: Vec<u8>,
+}
+
+impl<'a, R: Read> BodyReader<'a, R> {
+    /// Check the header's magic and version; `errors` are the messages
+    /// for a mismatch of each.
+    fn open(
+        input: &'a mut R,
+        magic: &[u8; 4],
+        errors: [&'static str; 2],
+    ) -> Result<Self, DecodeError> {
+        let mut header = [0u8; 8];
+        input.read_exact(&mut header)?;
+        let mut h = Cursor::new(&header);
+        if h.take(4)? != magic {
+            return Err(DecodeError::Corrupt(errors[0]));
+        }
+        if h.u16()? != VERSION {
+            return Err(DecodeError::Corrupt(errors[1]));
+        }
+        Ok(BodyReader { input, body: Vec::new() })
+    }
+
+    /// The next `n` body bytes.
+    fn section(&mut self, n: usize) -> io::Result<Cursor<'_>> {
+        let at = self.body.len();
+        self.body.resize(at + n, 0);
+        self.input.read_exact(&mut self.body[at..])?;
+        Ok(Cursor::new(&self.body[at..]))
+    }
+
+    /// `n` percentile levels.
+    fn levels(&mut self, n: u16) -> io::Result<Vec<u16>> {
+        let mut b = self.section(2 * usize::from(n))?;
+        (0..n).map(|_| Ok(b.u16()?)).collect()
+    }
+
+    /// `n` cells of `f64` bits.
+    fn cells(&mut self, n: usize) -> io::Result<Vec<u64>> {
+        let mut b = self.section(8 * n)?;
+        (0..n).map(|_| Ok(b.u64()?)).collect()
+    }
+
+    /// A `prefix u32 | len u8` key.
+    fn key(&mut self) -> io::Result<(u32, u8)> {
+        let mut b = self.section(5)?;
+        Ok((b.u32()?, b.u8()?))
+    }
+
+    /// A key followed by its cells.
+    fn entry(&mut self, cells: usize) -> io::Result<SnapshotEntry> {
+        let (prefix, len) = self.key()?;
+        Ok(SnapshotEntry { prefix, len, cells: self.cells(cells)? })
+    }
+
+    /// Read the trailer and check it against the body.
+    fn finish(self) -> Result<(), DecodeError> {
+        let mut trailer = [0u8; 8];
+        self.input.read_exact(&mut trailer)?;
+        let (stored, computed) = (u64::from_le_bytes(trailer), Fletcher::of(&self.body));
+        if stored != computed {
+            return Err(DecodeError::Checksum { stored, computed });
+        }
+        Ok(())
+    }
 }
 
 /// Deserialize a snapshot previously written by [`write_snapshot`].
 /// The decoded snapshot is re-validated, so `read → write` reproduces the
 /// input bytes exactly.
 pub fn read_snapshot<R: Read>(input: &mut R) -> Result<TimeoutSnapshot, DecodeError> {
-    let mut header = [0u8; 8];
-    input.read_exact(&mut header)?;
-    let mut h = &header[..];
-    let mut magic = [0u8; 4];
-    h.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DecodeError::Corrupt("bad snapshot magic"));
-    }
-    if h.get_u16_le() != VERSION {
-        return Err(DecodeError::Corrupt("unsupported snapshot version"));
-    }
-
-    // `Fletcher::update` pads each call to 4-byte words, so the digest
-    // depends on call boundaries; buffer the body and hash it in one call
-    // exactly as the writer does.
-    let mut body = Vec::new();
-    let mut counts = [0u8; 8];
-    input.read_exact(&mut counts)?;
-    body.extend_from_slice(&counts);
-    let mut c = &counts[..];
-    let r_count = c.get_u16_le() as usize;
-    let c_count = c.get_u16_le() as usize;
-    let entry_count = u64::from(c.get_u32_le());
-    if r_count == 0 || c_count == 0 {
-        return Err(DecodeError::Corrupt("empty percentile levels"));
-    }
+    let errors = ["bad snapshot magic", "unsupported snapshot version"];
+    let mut r = BodyReader::open(input, MAGIC, errors)?;
+    let mut c = r.section(8)?;
+    let (r_count, c_count, entry_count) = (c.u16()?, c.u16()?, u64::from(c.u32()?));
+    let cells = grid_cells(r_count, c_count)?;
     if entry_count > MAX_ENTRIES {
         return Err(DecodeError::Corrupt("entry count exceeds sanity cap"));
     }
-    let cells = r_count * c_count;
-
-    let mut levels = vec![0u8; 2 * (r_count + c_count)];
-    input.read_exact(&mut levels)?;
-    body.extend_from_slice(&levels);
-    let mut l = &levels[..];
-    let address_pct_tenths: Vec<u16> = (0..r_count).map(|_| l.get_u16_le()).collect();
-    let ping_pct_tenths: Vec<u16> = (0..c_count).map(|_| l.get_u16_le()).collect();
-
-    let read_cells = |input: &mut R, body: &mut Vec<u8>| -> Result<Vec<u64>, DecodeError> {
-        let mut raw = vec![0u8; 8 * cells];
-        input.read_exact(&mut raw)?;
-        body.extend_from_slice(&raw);
-        let mut b = &raw[..];
-        Ok((0..cells).map(|_| b.get_u64_le()).collect())
-    };
-    let fallback = read_cells(input, &mut body)?;
-
+    let address_pct_tenths = r.levels(r_count)?;
+    let ping_pct_tenths = r.levels(c_count)?;
+    let fallback = r.cells(cells)?;
     let mut entries = Vec::with_capacity(entry_count.min(1 << 16) as usize);
-    let mut head = [0u8; 5];
     for _ in 0..entry_count {
-        input.read_exact(&mut head)?;
-        body.extend_from_slice(&head);
-        let mut b = &head[..];
-        let prefix = b.get_u32_le();
-        let len = b.get_u8();
-        entries.push(SnapshotEntry { prefix, len, cells: read_cells(input, &mut body)? });
+        entries.push(r.entry(cells)?);
     }
-
-    let mut trailer = [0u8; 8];
-    input.read_exact(&mut trailer)?;
-    let stored = u64::from_le_bytes(trailer);
-    let mut checksum = Fletcher::default();
-    checksum.update(&body);
-    let computed = checksum.finish();
-    if stored != computed {
-        return Err(DecodeError::Checksum { stored, computed });
-    }
+    r.finish()?;
 
     let snap = TimeoutSnapshot { address_pct_tenths, ping_pct_tenths, fallback, entries };
     snap.validate().map_err(DecodeError::Invalid)?;
@@ -653,123 +688,66 @@ pub fn diff_snapshot(
 /// canonical form (see [`SnapshotDelta::validate`]).
 pub fn write_delta<W: Write>(out: &mut W, delta: &SnapshotDelta) -> io::Result<()> {
     delta.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let mut header = Vec::with_capacity(8);
-    header.put_slice(DELTA_MAGIC);
-    header.put_u16_le(VERSION);
-    header.put_u16_le(0);
-    out.write_all(&header)?;
-
     let cells = usize::from(delta.r_count) * usize::from(delta.c_count);
     let mut body = Vec::with_capacity(
         29 + 8 * cells * (usize::from(delta.new_fallback.is_some()) + delta.upserts.len())
             + 5 * (delta.removed.len() + delta.upserts.len()),
     );
-    body.put_u64_le(delta.base_checksum);
-    body.put_u64_le(delta.target_checksum);
-    body.put_u16_le(delta.r_count);
-    body.put_u16_le(delta.c_count);
-    body.put_u32_le(delta.removed.len() as u32);
-    body.put_u32_le(delta.upserts.len() as u32);
-    body.put_u8(u8::from(delta.new_fallback.is_some()));
+    body.extend_from_slice(&delta.base_checksum.to_le_bytes());
+    body.extend_from_slice(&delta.target_checksum.to_le_bytes());
+    body.extend_from_slice(&delta.r_count.to_le_bytes());
+    body.extend_from_slice(&delta.c_count.to_le_bytes());
+    body.extend_from_slice(&(delta.removed.len() as u32).to_le_bytes());
+    body.extend_from_slice(&(delta.upserts.len() as u32).to_le_bytes());
+    body.push(u8::from(delta.new_fallback.is_some()));
     if let Some(fb) = &delta.new_fallback {
         for &c in fb {
-            body.put_u64_le(c);
+            body.extend_from_slice(&c.to_le_bytes());
         }
     }
     for &(prefix, len) in &delta.removed {
-        body.put_u32_le(prefix);
-        body.put_u8(len);
+        body.extend_from_slice(&prefix.to_le_bytes());
+        body.push(len);
     }
     for e in &delta.upserts {
-        body.put_u32_le(e.prefix);
-        body.put_u8(e.len);
+        body.extend_from_slice(&e.prefix.to_le_bytes());
+        body.push(e.len);
         for &c in &e.cells {
-            body.put_u64_le(c);
+            body.extend_from_slice(&c.to_le_bytes());
         }
     }
-    let mut checksum = Fletcher::default();
-    checksum.update(&body);
-    out.write_all(&body)?;
-    out.write_all(&checksum.finish().to_le_bytes())?;
-    Ok(())
+    write_framed(out, DELTA_MAGIC, &body)
 }
 
 /// Deserialize a delta previously written by [`write_delta`]. The decoded
 /// delta is re-validated, so `read → write` reproduces the input bytes
 /// exactly.
 pub fn read_delta<R: Read>(input: &mut R) -> Result<SnapshotDelta, DecodeError> {
-    let mut header = [0u8; 8];
-    input.read_exact(&mut header)?;
-    let mut h = &header[..];
-    let mut magic = [0u8; 4];
-    h.copy_to_slice(&mut magic);
-    if &magic != DELTA_MAGIC {
-        return Err(DecodeError::Corrupt("bad delta magic"));
-    }
-    if h.get_u16_le() != VERSION {
-        return Err(DecodeError::Corrupt("unsupported delta version"));
-    }
-
-    let mut body = Vec::new();
-    let mut fixed = [0u8; 29];
-    input.read_exact(&mut fixed)?;
-    body.extend_from_slice(&fixed);
-    let mut c = &fixed[..];
-    let base_checksum = c.get_u64_le();
-    let target_checksum = c.get_u64_le();
-    let r_count = c.get_u16_le();
-    let c_count = c.get_u16_le();
-    let removed_count = u64::from(c.get_u32_le());
-    let upsert_count = u64::from(c.get_u32_le());
-    let fallback_flag = c.get_u8();
-    if r_count == 0 || c_count == 0 {
-        return Err(DecodeError::Corrupt("empty percentile levels"));
-    }
+    let mut r =
+        BodyReader::open(input, DELTA_MAGIC, ["bad delta magic", "unsupported delta version"])?;
+    let mut c = r.section(29)?;
+    let (base_checksum, target_checksum) = (c.u64()?, c.u64()?);
+    let (r_count, c_count) = (c.u16()?, c.u16()?);
+    let removed_count = u64::from(c.u32()?);
+    let upsert_count = u64::from(c.u32()?);
+    let fallback_flag = c.u8()?;
+    let cells = grid_cells(r_count, c_count)?;
     if removed_count > MAX_ENTRIES || upsert_count > MAX_ENTRIES {
         return Err(DecodeError::Corrupt("entry count exceeds sanity cap"));
     }
     if fallback_flag > 1 {
         return Err(DecodeError::Corrupt("bad fallback flag"));
     }
-    let cells = usize::from(r_count) * usize::from(c_count);
-
-    let read_cells = |input: &mut R, body: &mut Vec<u8>| -> Result<Vec<u64>, DecodeError> {
-        let mut raw = vec![0u8; 8 * cells];
-        input.read_exact(&mut raw)?;
-        body.extend_from_slice(&raw);
-        let mut b = &raw[..];
-        Ok((0..cells).map(|_| b.get_u64_le()).collect())
-    };
-    let new_fallback = if fallback_flag == 1 { Some(read_cells(input, &mut body)?) } else { None };
-
+    let new_fallback = if fallback_flag == 1 { Some(r.cells(cells)?) } else { None };
     let mut removed = Vec::with_capacity(removed_count.min(1 << 16) as usize);
-    let mut head = [0u8; 5];
     for _ in 0..removed_count {
-        input.read_exact(&mut head)?;
-        body.extend_from_slice(&head);
-        let mut b = &head[..];
-        let prefix = b.get_u32_le();
-        removed.push((prefix, b.get_u8()));
+        removed.push(r.key()?);
     }
     let mut upserts = Vec::with_capacity(upsert_count.min(1 << 16) as usize);
     for _ in 0..upsert_count {
-        input.read_exact(&mut head)?;
-        body.extend_from_slice(&head);
-        let mut b = &head[..];
-        let prefix = b.get_u32_le();
-        let len = b.get_u8();
-        upserts.push(SnapshotEntry { prefix, len, cells: read_cells(input, &mut body)? });
+        upserts.push(r.entry(cells)?);
     }
-
-    let mut trailer = [0u8; 8];
-    input.read_exact(&mut trailer)?;
-    let stored = u64::from_le_bytes(trailer);
-    let mut checksum = Fletcher::default();
-    checksum.update(&body);
-    let computed = checksum.finish();
-    if stored != computed {
-        return Err(DecodeError::Checksum { stored, computed });
-    }
+    r.finish()?;
 
     let delta = SnapshotDelta {
         base_checksum,
@@ -1023,6 +1001,37 @@ mod tests {
 
         buf.truncate(buf.len() - 4);
         assert!(matches!(read_delta(&mut &buf[..]), Err(DecodeError::Io(_))));
+    }
+
+    /// Headers claiming a 65 535 × 65 535 grid: the decoders once
+    /// allocated `8 × r × c` bytes (34 GB) of cells before validating the
+    /// counts, and aborted.
+    #[test]
+    fn oversized_grid_headers_rejected_before_allocating() {
+        let mut delta = header(DELTA_MAGIC);
+        delta.extend_from_slice(&[0; 16]);
+        delta.extend_from_slice(&[0xff; 4]);
+        delta.extend_from_slice(&[0; 8]);
+        delta.push(1);
+        assert_eq!(delta.len(), 37);
+        let err = "percentile level count exceeds sanity cap";
+        assert!(matches!(read_delta(&mut &delta[..]), Err(DecodeError::Corrupt(e)) if e == err));
+
+        let mut snap = header(MAGIC);
+        snap.extend_from_slice(&[0xff; 4]);
+        snap.extend_from_slice(&[0; 4]);
+        snap.resize(snap.len() + 4 * 65_535, 0x01);
+        assert_eq!(snap.len(), 262_156);
+        assert!(matches!(read_snapshot(&mut &snap[..]), Err(DecodeError::Corrupt(e)) if e == err));
+
+        // The largest valid axis still decodes past the check.
+        let mut grid = sample();
+        grid.address_pct_tenths = (1..=MAX_PCT_TENTHS).collect();
+        grid.fallback = vec![0; 2 * usize::from(MAX_PCT_TENTHS)];
+        grid.entries.clear();
+        let mut buf = Vec::new();
+        write_snapshot(&mut buf, &grid).unwrap();
+        assert_eq!(read_snapshot(&mut &buf[..]).unwrap(), grid);
     }
 
     #[test]

@@ -14,64 +14,14 @@
 //! trailer: tag 0xFF | record count u64 | fletcher-64 checksum u64
 //! ```
 
-use crate::record::{Record, RecordKind};
+use crate::binfmt::{decode_record, encode_record, Fletcher};
+use crate::record::Record;
 use crate::survey::RecordSink;
-use bytes::BufMut;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"BWSS";
 const VERSION: u16 = 1;
 const END_TAG: u8 = 0xFF;
-
-/// Fletcher-64-style running checksum, identical to the one `binfmt` uses.
-#[derive(Debug, Clone, Copy, Default)]
-struct Fletcher {
-    a: u64,
-    b: u64,
-}
-
-impl Fletcher {
-    fn update(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(4) {
-            let mut word = [0u8; 4];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.a = (self.a + u64::from(u32::from_le_bytes(word))) % 0xffff_ffff;
-            self.b = (self.b + self.a) % 0xffff_ffff;
-        }
-    }
-
-    fn finish(self) -> u64 {
-        (self.b << 32) | self.a
-    }
-}
-
-fn encode_record(r: &Record, buf: &mut Vec<u8>) {
-    match r.kind {
-        RecordKind::Matched { rtt_us } => {
-            buf.put_u8(0);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-            buf.put_u32_le(rtt_us);
-        }
-        RecordKind::Timeout => {
-            buf.put_u8(1);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-        }
-        RecordKind::Unmatched { recv_s } => {
-            buf.put_u8(2);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-            buf.put_u32_le(recv_s);
-        }
-        RecordKind::IcmpError { code } => {
-            buf.put_u8(3);
-            buf.put_u32_le(r.addr);
-            buf.put_u32_le(r.time_s);
-            buf.put_u8(code);
-        }
-    }
-}
 
 /// Incremental survey writer. Must be [`StreamWriter::finish`]ed — dropping
 /// it without finishing leaves a truncated stream, which [`StreamReader`]
@@ -90,11 +40,7 @@ pub struct StreamWriter<W: Write> {
 impl<W: Write> StreamWriter<W> {
     /// Start a stream on `out`.
     pub fn new(mut out: W) -> io::Result<Self> {
-        let mut header = Vec::with_capacity(8);
-        header.put_slice(MAGIC);
-        header.put_u16_le(VERSION);
-        header.put_u16_le(0);
-        out.write_all(&header)?;
+        out.write_all(&[&MAGIC[..], &VERSION.to_le_bytes(), &[0, 0]].concat())?;
         Ok(StreamWriter {
             out,
             checksum: Fletcher::default(),
@@ -115,11 +61,8 @@ impl<W: Write> StreamWriter<W> {
         if let Some(e) = self.deferred.take() {
             return Err(e);
         }
-        let mut trailer = Vec::with_capacity(17);
-        trailer.put_u8(END_TAG);
-        trailer.put_u64_le(self.count);
-        trailer.put_u64_le(self.checksum.finish());
-        self.out.write_all(&trailer)?;
+        let (count, checksum) = (self.count.to_le_bytes(), self.checksum.finish().to_le_bytes());
+        self.out.write_all(&[&[END_TAG][..], &count, &checksum].concat())?;
         self.out.flush()?;
         Ok(self.out)
     }
@@ -194,10 +137,9 @@ impl<R: Read> StreamReader<R> {
     }
 
     fn read_one(&mut self) -> Result<Option<Record>, StreamError> {
-        let mut scratch = [0u8; 16];
-        self.input.read_exact(&mut scratch[..1])?;
-        let tag = scratch[0];
-        if tag == END_TAG {
+        let mut tag = [0u8];
+        self.input.read_exact(&mut tag)?;
+        if tag[0] == END_TAG {
             let mut trailer = [0u8; 16];
             self.input.read_exact(&mut trailer)?;
             let count = u64::from_le_bytes(trailer[0..8].try_into().expect("length"));
@@ -208,29 +150,10 @@ impl<R: Read> StreamReader<R> {
             }
             return Ok(None);
         }
-        let body_len = match tag {
-            0 | 2 => 12,
-            1 => 8,
-            3 => 9,
-            _ => return Err(StreamError::Corrupt("unknown record tag")),
-        };
-        self.input.read_exact(&mut scratch[1..1 + body_len])?;
-        self.checksum.update(&scratch[..1 + body_len]);
+        let record = decode_record(&mut self.input, tag[0], &mut self.checksum)?
+            .ok_or(StreamError::Corrupt("unknown record tag"))?;
         self.read_count += 1;
-        let addr = u32::from_le_bytes(scratch[1..5].try_into().expect("length"));
-        let time_s = u32::from_le_bytes(scratch[5..9].try_into().expect("length"));
-        let kind = match tag {
-            0 => RecordKind::Matched {
-                rtt_us: u32::from_le_bytes(scratch[9..13].try_into().expect("length")),
-            },
-            1 => RecordKind::Timeout,
-            2 => RecordKind::Unmatched {
-                recv_s: u32::from_le_bytes(scratch[9..13].try_into().expect("length")),
-            },
-            3 => RecordKind::IcmpError { code: scratch[9] },
-            _ => unreachable!("tag validated above"),
-        };
-        Ok(Some(Record { addr, time_s, kind }))
+        Ok(Some(record))
     }
 }
 

@@ -2,10 +2,31 @@
 //! binary codec detects arbitrary single-byte corruption of record bytes.
 //! The timeout-oracle snapshot codec gets the same treatment, plus its
 //! canonical-form guarantee: write → read → re-write is byte-identical.
+//! Every binary decoder rejects truncated and bit-flipped input with a
+//! typed error and never panics.
 
 use beware_dataset::snapshot::{self, prefix_mask, SnapshotEntry, TimeoutSnapshot};
-use beware_dataset::{binfmt, textfmt, Record, RecordKind};
+use beware_dataset::stream::{StreamReader, StreamWriter};
+use beware_dataset::{binfmt, textfmt, Record, RecordKind, RecordSink};
 use proptest::prelude::*;
+
+/// Every strict prefix of `bytes`, each of which must fail to decode.
+fn truncations(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    (0..bytes.len()).map(move |n| &bytes[..n])
+}
+
+/// `bytes` with one bit flipped.
+fn flipped(bytes: &[u8], bit: proptest::sample::Index) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    let bit = bit.index(8 * bad.len());
+    bad[bit / 8] ^= 1 << (bit % 8);
+    bad
+}
+
+/// Drain a survey stream; `Err` if the header or any record fails.
+fn read_stream(bytes: &[u8]) -> Result<Vec<Record>, beware_dataset::stream::StreamError> {
+    StreamReader::new(bytes)?.collect()
+}
 
 fn arb_record() -> impl Strategy<Value = Record> {
     (any::<u32>(), any::<u32>(), arb_kind()).prop_map(|(addr, time_s, kind)| Record {
@@ -148,6 +169,50 @@ proptest! {
         if let Ok(back) = snapshot::read_snapshot(&mut &buf[..]) {
             prop_assert_eq!(back, snap, "corruption silently accepted");
         }
+    }
+}
+
+proptest! {
+    #[test]
+    fn record_decoders_reject_truncation_and_never_panic(
+        records in proptest::collection::vec(arb_record(), 0..20),
+        bit in any::<proptest::sample::Index>(),
+    ) {
+        let mut bwsv = Vec::new();
+        binfmt::write_records(&mut bwsv, &records).unwrap();
+        let mut w = StreamWriter::new(Vec::new()).unwrap();
+        for &r in &records {
+            w.push(r);
+        }
+        let bwss = w.finish().unwrap();
+        for cut in truncations(&bwsv) {
+            prop_assert!(binfmt::read_records(&mut &cut[..]).is_err(), "{} bytes", cut.len());
+        }
+        for cut in truncations(&bwss) {
+            prop_assert!(read_stream(cut).is_err(), "{} bytes", cut.len());
+        }
+        let _ = binfmt::read_records(&mut &flipped(&bwsv, bit)[..]);
+        let _ = read_stream(&flipped(&bwss, bit));
+    }
+
+    #[test]
+    fn snapshot_decoders_reject_truncation_and_never_panic(
+        (base, target) in arb_snapshot_pair(),
+        bit in any::<proptest::sample::Index>(),
+    ) {
+        let mut bwts = Vec::new();
+        snapshot::write_snapshot(&mut bwts, &base).unwrap();
+        let mut bwtd = Vec::new();
+        snapshot::write_delta(&mut bwtd, &snapshot::diff_snapshot(&base, &target).unwrap())
+            .unwrap();
+        for cut in truncations(&bwts) {
+            prop_assert!(snapshot::read_snapshot(&mut &cut[..]).is_err(), "{} bytes", cut.len());
+        }
+        for cut in truncations(&bwtd) {
+            prop_assert!(snapshot::read_delta(&mut &cut[..]).is_err(), "{} bytes", cut.len());
+        }
+        let _ = snapshot::read_snapshot(&mut &flipped(&bwts, bit)[..]);
+        let _ = snapshot::read_delta(&mut &flipped(&bwtd, bit)[..]);
     }
 }
 

@@ -12,7 +12,7 @@
 //!   boundaries, reads that time out, corrupted bytes, mid-stream
 //!   truncation, abrupt closes. It is pure and in-process — the right tool
 //!   for unit tests of codec and client robustness.
-//! * [`ChaosProxy`](proxy::ChaosProxy) is an in-process TCP proxy that
+//! * [`ChaosProxy`] is an in-process TCP proxy that
 //!   sits between a real client and a real server and injects the same
 //!   fault repertoire into live traffic — the right tool for end-to-end
 //!   chaos suites (`tests/chaos.rs`, `beware chaos`).
@@ -47,17 +47,6 @@ pub mod proxy;
 pub mod topology;
 mod transport;
 
-/// The seeding discipline, re-exported from `beware-runtime` — the single
-/// canonical SplitMix64 in the workspace. This crate used to carry its
-/// own character-for-character copy; `beware_runtime::rng`'s tests pin
-/// today's streams to that retired copy bit for bit.
-pub mod rng {
-    pub use beware_runtime::rng::{derive_seed, SplitMix64};
-
-    /// The decision-stream type's historical name in this crate.
-    pub type SplitMix = SplitMix64;
-}
-
 pub use proxy::ChaosProxy;
 pub use topology::{chaos_schedule, mid_campaign_partitions, TopologyFaultCfg};
 pub use transport::FaultyTransport;
@@ -67,7 +56,8 @@ pub use transport::FaultyTransport;
 /// of bytes moved, or one connection-lifetime event), in `[0, 1]`.
 #[derive(Debug, Clone)]
 pub struct FaultCfg {
-    /// Root seed; connection `i` draws from `rng::derive_seed(seed, i)`.
+    /// Root seed; connection `i` draws from
+    /// `beware_runtime::rng::derive_seed(seed, i)`.
     pub seed: u64,
     /// Forward/write at most this many bytes per chunk, with the actual
     /// chunk length drawn uniformly from `1..=max_chunk`. `0` disables
@@ -130,20 +120,5 @@ impl FaultCfg {
     /// exercising reassembly paths without any failures.
     pub fn split_only(seed: u64) -> FaultCfg {
         FaultCfg { max_chunk: 3, ..FaultCfg::disabled(seed) }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::rng::{derive_seed, SplitMix};
-
-    #[test]
-    fn reexported_rng_is_the_retired_fault_stream() {
-        // The values this crate's private copy produced before the dedup,
-        // frozen here: fault schedules must survive the re-export.
-        assert_eq!(derive_seed(7, 1), 0xf75f_04cb_b5a1_a1dd);
-        let mut r = SplitMix::new(derive_seed(0xbe0a, 3));
-        assert_eq!(r.next_u64(), 0x9357_2081_16c5_6e3c);
-        assert!(r.unit() < 1.0);
     }
 }

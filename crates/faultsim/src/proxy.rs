@@ -22,9 +22,9 @@
 //! [`FaultyTransport::with_clock`](crate::FaultyTransport::with_clock)
 //! instead.
 
-use crate::rng::{derive_seed, SplitMix};
 use crate::FaultCfg;
 use beware_runtime::clock::{SharedClock, WallClock};
+use beware_runtime::rng::{derive_seed, SplitMix64};
 use beware_runtime::wheel::DeadlineWheel;
 use beware_telemetry::Registry;
 use std::io::{self, Read, Write};
@@ -154,7 +154,7 @@ fn pump_connection(
     clock: &SharedClock,
 ) -> Registry {
     let mut reg = Registry::new();
-    let mut rng = SplitMix::new(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut client = client;
     let mut server: TcpStream = match TcpStream::connect_timeout(&upstream, Duration::from_secs(2))
     {
@@ -222,7 +222,7 @@ fn pump_dir(
     dst: &mut TcpStream,
     pipe: &mut Pipe,
     cfg: &FaultCfg,
-    rng: &mut SplitMix,
+    rng: &mut SplitMix64,
     reg: &mut Registry,
     wheel: &mut DeadlineWheel<&'static str>,
     clock: &SharedClock,

@@ -16,8 +16,8 @@
 //! SplitMix64 stream per unit of work), so inserting or removing a window
 //! never reshuffles the others.
 
-use crate::rng::{derive_seed, SplitMix64};
 use beware_netsim::{LinkEvent, LinkEventKind, LinkId};
+use beware_runtime::rng::{derive_seed, SplitMix64};
 
 /// Parameters for a seeded schedule of topology fault windows.
 #[derive(Debug, Clone)]

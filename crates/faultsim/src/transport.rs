@@ -1,8 +1,8 @@
 //! Byte-level fault wrapper over any `Read + Write` transport.
 
-use crate::rng::{derive_seed, SplitMix};
 use crate::FaultCfg;
 use beware_runtime::clock::{SharedClock, WallClock};
+use beware_runtime::rng::{derive_seed, SplitMix64};
 use beware_telemetry::Registry;
 use std::io::{self, Read, Write};
 use std::time::Duration;
@@ -32,7 +32,7 @@ enum State {
 pub struct FaultyTransport<T> {
     inner: T,
     cfg: FaultCfg,
-    rng: SplitMix,
+    rng: SplitMix64,
     state: State,
     /// A fired stall makes every later read time out.
     read_stalled: bool,
@@ -59,7 +59,7 @@ impl<T> FaultyTransport<T> {
         stream_index: u64,
         clock: SharedClock,
     ) -> FaultyTransport<T> {
-        let rng = SplitMix::new(derive_seed(cfg.seed, stream_index));
+        let rng = SplitMix64::new(derive_seed(cfg.seed, stream_index));
         FaultyTransport {
             inner,
             cfg,

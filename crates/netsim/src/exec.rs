@@ -91,9 +91,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beware_runtime::rng::derive_seed;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use beware_runtime::rng::{derive_seed, Xoshiro256pp};
 
     #[test]
     fn preserves_input_order() {
@@ -109,8 +107,8 @@ mod tests {
     fn serial_and_parallel_agree() {
         // Per-task seeded streams: the executor's intended usage pattern.
         let job = |i: usize, _: ()| {
-            let mut rng = StdRng::seed_from_u64(derive_seed(42, i as u64));
-            (0..50).map(|_| rng.gen::<u64>()).collect::<Vec<u64>>()
+            let mut rng = Xoshiro256pp::seed_from_u64(derive_seed(42, i as u64));
+            (0..50).map(|_| rng.next_u64()).collect::<Vec<u64>>()
         };
         let serial = run_tasks(1, vec![(); 17], job);
         for threads in [2, 3, 4, 8, 33] {

@@ -13,9 +13,7 @@
 use crate::profile::BlockProfile;
 use crate::rng::{coin, seeded};
 use crate::time::{SimDuration, SimTime};
-use beware_runtime::rng::{derive_seed, unit_hash};
-use rand::rngs::StdRng;
-use rand::Rng;
+use beware_runtime::rng::{derive_seed, unit_hash, Xoshiro256pp};
 
 /// What a host sends back; the world turns this into a concrete packet
 /// according to the probe's protocol.
@@ -164,7 +162,7 @@ struct TokenBucket {
 /// Mutable state of one probed address.
 #[derive(Debug)]
 pub struct HostState {
-    rng: StdRng,
+    rng: Xoshiro256pp,
     class: HostClass,
     /// Fixed per-host base path RTT (seconds).
     base_rtt: f64,
@@ -201,7 +199,7 @@ impl HostState {
             let e = profile.episodes.expect("intermittent implies episodes cfg");
             let interval = e.interval.sample(&mut rng).max(1.0);
             let duration = e.duration.sample(&mut rng).clamp(1.0, e.max_duration_secs);
-            let pos = rng.gen_range(0.0..interval + duration);
+            let pos = rng.range_f64(0.0..interval + duration);
             if pos < interval {
                 EpisodeRt {
                     until: SimTime::EPOCH,
@@ -214,7 +212,7 @@ impl HostState {
                 let remaining = duration - elapsed;
                 let until = SimTime::EPOCH + SimDuration::from_secs_f64(remaining);
                 let blackout =
-                    rng.gen_range(0.0..e.blackout_secs_max.max(1e-6)).min(duration * 0.5);
+                    rng.range_f64(0.0..e.blackout_secs_max.max(1e-6)).min(duration * 0.5);
                 // Blackout end relative to the (pre-epoch) episode start,
                 // saturating at the epoch.
                 let buffer_from =
@@ -231,7 +229,7 @@ impl HostState {
             let s = profile.storms.expect("stormy implies storms cfg");
             let interval = s.interval.sample(&mut rng).max(1.0);
             let duration = s.duration.sample(&mut rng).max(1.0);
-            let pos = rng.gen_range(0.0..interval + duration);
+            let pos = rng.range_f64(0.0..interval + duration);
             if pos < interval {
                 StormRt {
                     until: SimTime::EPOCH,
@@ -286,7 +284,7 @@ impl HostState {
                     let offset = if i == 0 {
                         0.0
                     } else {
-                        self.rng.gen_range(0.0..dos.spread_secs.max(0.001))
+                        self.rng.range_f64(0.0..dos.spread_secs.max(0.001))
                     };
                     out.push(Response { delay_secs: self.base_rtt + offset, kind: Reply::Normal });
                 }
@@ -398,9 +396,9 @@ impl HostState {
 
         // Benign duplication: 1–3 extra copies milliseconds apart.
         if coin(&mut self.rng, profile.dup_prob) {
-            let copies = self.rng.gen_range(1..=3);
+            let copies = 1 + self.rng.below(3);
             for _ in 0..copies {
-                let gap = self.rng.gen_range(0.001..0.02);
+                let gap = self.rng.range_f64(0.001..0.02);
                 out.push(Response { delay_secs: delay + gap, kind: Reply::Normal });
             }
         }
@@ -462,7 +460,7 @@ impl HostState {
             let dur = cfg.duration.sample(&mut self.rng).clamp(1.0, cfg.max_duration_secs);
             let start = ep.next_at;
             ep.until = start + SimDuration::from_secs_f64(dur);
-            let blackout = self.rng.gen_range(0.0..cfg.blackout_secs_max.max(1e-6)).min(dur * 0.5);
+            let blackout = self.rng.range_f64(0.0..cfg.blackout_secs_max.max(1e-6)).min(dur * 0.5);
             ep.buffer_from = start + SimDuration::from_secs_f64(blackout);
             ep.next_at = ep.until + SimDuration::from_secs_f64(cfg.interval.sample(&mut self.rng));
             ep.buffered = 0;

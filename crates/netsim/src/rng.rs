@@ -4,23 +4,18 @@
 //! Everything in the simulator is seeded: the same seed produces the same
 //! packet trace, byte for byte, which the integration tests assert. Rather
 //! than pull `rand_distr`, the handful of distributions the latency models
-//! need are implemented here from `rand`'s uniform source — each is a
-//! couple of lines of inverse-transform or Box–Muller sampling, and owning
-//! them keeps the workspace at its approved dependency set.
+//! need are implemented here from the runtime's xoshiro256++ stream —
+//! each is a couple of lines of inverse-transform or Box–Muller sampling.
+//! The generators themselves, seed derivation and per-entity unit hashing
+//! live in `beware_runtime::rng`; call sites import it directly.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use beware_runtime::rng::Xoshiro256pp;
 
-/// Build the standard deterministic RNG from an explicit seed.
-pub fn seeded(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
+/// Build the simulator's deterministic RNG from an explicit seed.
+#[inline]
+pub fn seeded(seed: u64) -> Xoshiro256pp {
+    Xoshiro256pp::seed_from_u64(seed)
 }
-
-// Seed derivation and per-entity unit hashing live in
-// `beware_runtime::rng` (`derive_seed`, `unit_hash`) — the workspace's
-// single SplitMix64 implementation. The delegation re-exports this module
-// carried after the PR-5 dedup are gone; call sites import the runtime
-// crate directly.
 
 /// Continuous distributions over positive reals.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,30 +60,31 @@ pub enum Dist {
 
 impl Dist {
     /// Draw one sample. All variants return finite, non-negative values.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    #[inline]
+    pub fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
         match *self {
             Dist::Constant(v) => v.max(0.0),
             Dist::Uniform { lo, hi } => {
                 if hi <= lo {
                     lo.max(0.0)
                 } else {
-                    rng.gen_range(lo..hi).max(0.0)
+                    rng.range_f64(lo..hi).max(0.0)
                 }
             }
             Dist::Exponential { mean } => {
                 // Inverse transform; guard the log against u == 0.
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                let u = rng.range_f64(f64::MIN_POSITIVE..1.0);
                 (-u.ln() * mean).max(0.0)
             }
             Dist::LogNormal { median, sigma } => {
                 (median.max(f64::MIN_POSITIVE).ln() + sigma * standard_normal(rng)).exp()
             }
             Dist::Pareto { xm, alpha } => {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                let u = rng.range_f64(f64::MIN_POSITIVE..1.0);
                 xm / u.powf(1.0 / alpha.max(1e-9))
             }
             Dist::Weibull { scale, shape } => {
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                let u = rng.range_f64(f64::MIN_POSITIVE..1.0);
                 scale * (-u.ln()).powf(1.0 / shape.max(1e-9))
             }
         }
@@ -96,27 +92,30 @@ impl Dist {
 
     /// Draw a sample clamped to `[0, cap]`, for models with a physical
     /// ceiling (e.g. a satellite modem's bounded queue).
-    pub fn sample_capped<R: Rng + ?Sized>(&self, rng: &mut R, cap: f64) -> f64 {
+    #[inline]
+    pub fn sample_capped(&self, rng: &mut Xoshiro256pp, cap: f64) -> f64 {
         self.sample(rng).min(cap)
     }
 }
 
 /// One standard normal variate via Box–Muller (the single-variate form; the
 /// simulator draws rarely enough that discarding the cosine twin is fine).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+#[inline]
+pub fn standard_normal(rng: &mut Xoshiro256pp) -> f64 {
+    let u1 = rng.range_f64(f64::MIN_POSITIVE..1.0);
+    let u2 = rng.range_f64(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// A Bernoulli trial.
-pub fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
+#[inline]
+pub fn coin(rng: &mut Xoshiro256pp, p: f64) -> bool {
     if p <= 0.0 {
         false
     } else if p >= 1.0 {
         true
     } else {
-        rng.gen::<f64>() < p
+        rng.unit() < p
     }
 }
 

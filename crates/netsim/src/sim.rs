@@ -4,8 +4,8 @@
 //! Agents are written callback-style against [`Ctx`]: they send packets,
 //! set timers, and receive deliveries. The loop schedules through the
 //! shared `runtime::TimerQueue` (via
-//! [`EventQueue`](crate::event::EventQueue)) and drives a
-//! [`SimClock`](crate::time::SimClock) forward as it pops — so timers are
+//! [`EventQueue`]) and drives a
+//! [`SimClock`] forward as it pops — so timers are
 //! genuinely cancellable ([`Ctx::cancel_timer`], retiring the
 //! generation-counter idiom) and any component written against
 //! `beware_runtime::Clock` can observe the simulated timeline through

@@ -8,12 +8,12 @@
 //! identity is a **pure function** of `(campaign_seed, prefix)` (the
 //! scenario's `derive_seed`/`unit_hash` streams), so a profile can be
 //! recomputed at any time and never needs to be stored. The world keeps a
-//! small [`ProfileCache`] purely as a speed-up — because the source is
+//! small `ProfileCache` purely as a speed-up — because the source is
 //! pure, the cache capacity can never change results.
 //!
 //! # Eviction invariants
 //!
-//! Host state machines materialize on first probe into a [`HostTable`]
+//! Host state machines materialize on first probe into a `HostTable`
 //! bounded two ways:
 //!
 //! * **capacity** — inserting past `host_cap` evicts the

@@ -15,7 +15,7 @@
 //! u128 nanoseconds — so it is spelled [`TryFrom`], and callers that
 //! genuinely want the old clamping behavior say so with
 //! [`SimDuration::saturating_from`]. [`SimClock`] packages the bridge: a
-//! [`VirtualClock`](beware_runtime::VirtualClock) whose hands are moved by
+//! [`VirtualClock`] whose hands are moved by
 //! the event loop, so agent code and runtime components (wheel deadlines,
 //! reactors, policy estimators) observe one shared timeline.
 

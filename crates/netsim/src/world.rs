@@ -28,9 +28,8 @@ use crate::rng::seeded;
 use crate::space::{HostTable, LazyCfg, ProfileCache, ProfileSource};
 use crate::time::{SimDuration, SimTime};
 use beware_asdb::{Asn, Continent};
-use beware_runtime::rng::derive_seed;
+use beware_runtime::rng::{derive_seed, Xoshiro256pp};
 use beware_wire::icmp::IcmpKind;
-use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -154,7 +153,7 @@ pub struct World {
     space: Space,
     hosts: HostTable,
     links: Option<LinkLayer>,
-    rng: StdRng,
+    rng: Xoshiro256pp,
     stats: WorldStats,
 }
 
@@ -525,7 +524,7 @@ fn quote(probe: &Packet) -> Vec<u8> {
 }
 
 /// Recover the original destination address from an ICMP error quotation
-/// produced by [`quote`] (or any RFC 792-conforming stack).
+/// produced by `quote` (or any RFC 792-conforming stack).
 pub fn quoted_destination(quoted: &[u8]) -> Option<u32> {
     if quoted.len() < beware_wire::ipv4::HEADER_LEN {
         return None;

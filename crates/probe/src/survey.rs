@@ -22,10 +22,9 @@ use beware_netsim::rng::{coin, seeded};
 use beware_netsim::sim::{Agent, Ctx};
 use beware_netsim::time::{SimDuration, SimTime};
 use beware_netsim::world::quoted_destination;
-use beware_runtime::rng::{derive_seed, unit_hash};
+use beware_runtime::rng::{derive_seed, unit_hash, Xoshiro256pp};
 use beware_wire::icmp::IcmpKind;
 use beware_wire::payload::ProbePayload;
-use rand::rngs::StdRng;
 use std::collections::HashMap;
 
 /// Survey prober configuration.
@@ -93,7 +92,7 @@ pub struct SurveyProber<S: RecordSink> {
     /// Outstanding probe per address: send time.
     outstanding: HashMap<u32, SimTime>,
     payload_key: u64,
-    rng: StdRng,
+    rng: Xoshiro256pp,
     slot: SimDuration,
     finished_blocks: usize,
 }

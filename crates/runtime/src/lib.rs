@@ -17,11 +17,10 @@
 //!   `sleep` advances simulated time instead of parking the thread. A
 //!   seeded fault schedule spanning simulated minutes replays in
 //!   milliseconds under it.
-//! * [`rng`] — the canonical SplitMix64 stream generator and
-//!   seed-derivation finalizer. This is the **only** implementation in
-//!   the workspace; `beware-netsim`, `beware-faultsim` and
-//!   `beware-serve` all re-export or delegate to it, with equivalence
-//!   tests pinning the streams to the retired private copies.
+//! * [`rng`] — the workspace's two seeded generators, SplitMix64 and
+//!   the simulator's xoshiro256++, and the seed-derivation finalizer.
+//!   This is the **only** implementation of either in the workspace,
+//!   with tests pinning the streams to the retired private copies.
 //! * [`wheel`] — the workspace's one deadline scheduler. Its core,
 //!   [`TimerQueue`], is a monotone radix heap of 24-byte
 //!   `(deadline, seq, slot)` entries over a slab of inline payloads:
@@ -77,6 +76,6 @@ pub mod wheel;
 pub use alloc::CountingAlloc;
 pub use clock::{process_cpu_time, Clock, SharedClock, VirtualClock, WallClock};
 pub use reactor::{EpollReactor, Event, Interest, StopSignal, Waker};
-pub use rng::{derive_seed, unit_hash, SplitMix64};
+pub use rng::{derive_seed, unit_hash, SplitMix64, Xoshiro256pp};
 pub use swap::{Slot, SlotReader};
 pub use wheel::{DeadlineWheel, TimerKey, TimerQueue};

@@ -702,7 +702,7 @@ impl Engine {
     }
 
     /// Pump one connection: read what is available (bounded by
-    /// [`READ_BUDGET`]), decode, and queue a reply for every complete
+    /// `READ_BUDGET`), decode, and queue a reply for every complete
     /// frame. Returns true when any byte moved.
     pub fn service<T: Transport>(&mut self, conn: &mut Conn<T>, reg: &mut Registry) -> bool {
         let ids = self.serve_ids(reg);

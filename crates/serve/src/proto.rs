@@ -22,7 +22,7 @@
 //! byte-matches the offline `TimeoutTable` computation.
 
 use beware_wire::checksum::Checksum;
-use bytes::{Buf, BufMut};
+use beware_wire::{Cursor, WireError};
 use std::io::{self, Read, Write};
 
 /// Current protocol version. A server answers a mismatched version with
@@ -228,6 +228,12 @@ impl From<io::Error> for ProtoError {
     }
 }
 
+impl From<WireError> for ProtoError {
+    fn from(_: WireError) -> Self {
+        ProtoError::Corrupt("payload length does not match opcode")
+    }
+}
+
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -257,55 +263,55 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 /// a caller reusing one buffer allocates nothing once it has grown.
 pub fn encode_into(msg: &Message, out: &mut Vec<u8>) {
     let start = out.len();
-    out.put_u16_le(0); // length, patched once the body is written
+    out.extend_from_slice(&[0, 0]); // length, patched once the body is written
     let body_at = out.len();
-    out.put_u8(PROTO_VERSION);
+    out.push(PROTO_VERSION);
     match *msg {
         Message::Query { addr, addr_pct_tenths, ping_pct_tenths } => {
-            out.put_u8(OP_QUERY);
-            out.put_u32_le(addr);
-            out.put_u16_le(addr_pct_tenths);
-            out.put_u16_le(ping_pct_tenths);
+            out.push(OP_QUERY);
+            out.extend_from_slice(&addr.to_le_bytes());
+            out.extend_from_slice(&addr_pct_tenths.to_le_bytes());
+            out.extend_from_slice(&ping_pct_tenths.to_le_bytes());
         }
-        Message::Stats => out.put_u8(OP_STATS),
-        Message::Shutdown => out.put_u8(OP_SHUTDOWN),
+        Message::Stats => out.push(OP_STATS),
+        Message::Shutdown => out.push(OP_SHUTDOWN),
         Message::Answer { status, timeout_bits, prefix, prefix_len } => {
-            out.put_u8(OP_ANSWER);
-            out.put_u8(status as u8);
-            out.put_u64_le(timeout_bits);
-            out.put_u32_le(prefix);
-            out.put_u8(prefix_len);
+            out.push(OP_ANSWER);
+            out.push(status as u8);
+            out.extend_from_slice(&timeout_bits.to_le_bytes());
+            out.extend_from_slice(&prefix.to_le_bytes());
+            out.push(prefix_len);
         }
         Message::StatsReply { queries, hits_exact, hits_fallback } => {
-            out.put_u8(OP_STATS_REPLY);
-            out.put_u64_le(queries);
-            out.put_u64_le(hits_exact);
-            out.put_u64_le(hits_fallback);
+            out.push(OP_STATS_REPLY);
+            out.extend_from_slice(&queries.to_le_bytes());
+            out.extend_from_slice(&hits_exact.to_le_bytes());
+            out.extend_from_slice(&hits_fallback.to_le_bytes());
         }
-        Message::ShutdownAck => out.put_u8(OP_SHUTDOWN_ACK),
-        Message::SnapshotInfo => out.put_u8(OP_SNAPSHOT_INFO),
+        Message::ShutdownAck => out.push(OP_SHUTDOWN_ACK),
+        Message::SnapshotInfo => out.push(OP_SNAPSHOT_INFO),
         Message::Reload { kind } => {
-            out.put_u8(OP_RELOAD);
-            out.put_u8(kind as u8);
+            out.push(OP_RELOAD);
+            out.push(kind as u8);
         }
         Message::SnapshotInfoReply { version, entries, checksum } => {
-            out.put_u8(OP_SNAPSHOT_INFO_REPLY);
-            out.put_u64_le(version);
-            out.put_u32_le(entries);
-            out.put_u64_le(checksum);
+            out.push(OP_SNAPSHOT_INFO_REPLY);
+            out.extend_from_slice(&version.to_le_bytes());
+            out.extend_from_slice(&entries.to_le_bytes());
+            out.extend_from_slice(&checksum.to_le_bytes());
         }
         Message::Report { addr, rtt_us } => {
-            out.put_u8(OP_REPORT);
-            out.put_u32_le(addr);
-            out.put_u32_le(rtt_us);
+            out.push(OP_REPORT);
+            out.extend_from_slice(&addr.to_le_bytes());
+            out.extend_from_slice(&rtt_us.to_le_bytes());
         }
         Message::ReportAck { reports } => {
-            out.put_u8(OP_REPORT_ACK);
-            out.put_u64_le(reports);
+            out.push(OP_REPORT_ACK);
+            out.extend_from_slice(&reports.to_le_bytes());
         }
         Message::Error { code } => {
-            out.put_u8(OP_ERROR);
-            out.put_u8(code as u8);
+            out.push(OP_ERROR);
+            out.push(code as u8);
         }
     }
     let body_len = out.len() - body_at;
@@ -337,14 +343,14 @@ pub fn decode_body(body: &[u8]) -> Result<Message, ProtoError> {
     if stored != computed {
         return Err(ProtoError::Checksum { stored, computed });
     }
-    let mut b = msg;
-    let version = b.get_u8();
+    let mut b = Cursor::new(msg);
+    let version = b.u8()?;
     if version != PROTO_VERSION {
         return Err(ProtoError::Version(version));
     }
-    let opcode = b.get_u8();
+    let opcode = b.u8()?;
     let need = |n: usize| -> Result<(), ProtoError> {
-        if b.len() == n {
+        if b.remaining() == n {
             Ok(())
         } else {
             Err(ProtoError::Corrupt("payload length does not match opcode"))
@@ -354,9 +360,9 @@ pub fn decode_body(body: &[u8]) -> Result<Message, ProtoError> {
         OP_QUERY => {
             need(8)?;
             Ok(Message::Query {
-                addr: b.get_u32_le(),
-                addr_pct_tenths: b.get_u16_le(),
-                ping_pct_tenths: b.get_u16_le(),
+                addr: b.u32()?,
+                addr_pct_tenths: b.u16()?,
+                ping_pct_tenths: b.u16()?,
             })
         }
         OP_STATS => {
@@ -369,24 +375,24 @@ pub fn decode_body(body: &[u8]) -> Result<Message, ProtoError> {
         }
         OP_ANSWER => {
             need(14)?;
-            let status = match b.get_u8() {
+            let status = match b.u8()? {
                 0 => Status::Exact,
                 1 => Status::Fallback,
                 _ => return Err(ProtoError::Corrupt("unknown answer status")),
             };
             Ok(Message::Answer {
                 status,
-                timeout_bits: b.get_u64_le(),
-                prefix: b.get_u32_le(),
-                prefix_len: b.get_u8(),
+                timeout_bits: b.u64()?,
+                prefix: b.u32()?,
+                prefix_len: b.u8()?,
             })
         }
         OP_STATS_REPLY => {
             need(24)?;
             Ok(Message::StatsReply {
-                queries: b.get_u64_le(),
-                hits_exact: b.get_u64_le(),
-                hits_fallback: b.get_u64_le(),
+                queries: b.u64()?,
+                hits_exact: b.u64()?,
+                hits_fallback: b.u64()?,
             })
         }
         OP_SHUTDOWN_ACK => {
@@ -399,7 +405,7 @@ pub fn decode_body(body: &[u8]) -> Result<Message, ProtoError> {
         }
         OP_RELOAD => {
             need(1)?;
-            let kind = match b.get_u8() {
+            let kind = match b.u8()? {
                 0 => ReloadKind::Full,
                 1 => ReloadKind::Delta,
                 _ => return Err(ProtoError::Corrupt("unknown reload kind")),
@@ -409,23 +415,23 @@ pub fn decode_body(body: &[u8]) -> Result<Message, ProtoError> {
         OP_SNAPSHOT_INFO_REPLY => {
             need(20)?;
             Ok(Message::SnapshotInfoReply {
-                version: b.get_u64_le(),
-                entries: b.get_u32_le(),
-                checksum: b.get_u64_le(),
+                version: b.u64()?,
+                entries: b.u32()?,
+                checksum: b.u64()?,
             })
         }
         OP_REPORT => {
             need(8)?;
-            Ok(Message::Report { addr: b.get_u32_le(), rtt_us: b.get_u32_le() })
+            Ok(Message::Report { addr: b.u32()?, rtt_us: b.u32()? })
         }
         OP_REPORT_ACK => {
             need(8)?;
-            Ok(Message::ReportAck { reports: b.get_u64_le() })
+            Ok(Message::ReportAck { reports: b.u64()? })
         }
         OP_ERROR => {
             need(1)?;
             let code =
-                ErrorCode::from_u8(b.get_u8()).ok_or(ProtoError::Corrupt("unknown error code"))?;
+                ErrorCode::from_u8(b.u8()?).ok_or(ProtoError::Corrupt("unknown error code"))?;
             Ok(Message::Error { code })
         }
         _ => Err(ProtoError::Corrupt("unknown opcode")),

@@ -3,7 +3,8 @@
 //! boundary, or at arbitrary random cut points — feeding the fragments
 //! through an accumulation buffer must decode exactly the same messages
 //! as decoding each whole frame. `encode_into` appends exactly what
-//! `encode` returns.
+//! `encode` returns. Truncated, bit-flipped and arbitrary bytes decode to
+//! a message, a wait for more, or a typed error, never a panic.
 
 use beware_serve::proto::{self, ErrorCode, Message, Status};
 use proptest::prelude::*;
@@ -114,5 +115,24 @@ proptest! {
         proto::encode_into(&msg, &mut out);
         prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
         prop_assert_eq!(&out[prefix.len()..], &proto::encode(&msg)[..]);
+    }
+
+    #[test]
+    fn mangled_frames_never_panic(
+        msg in arb_message(),
+        bit in any::<proptest::sample::Index>(),
+        garbage in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        let frame = proto::encode(&msg);
+        for cut in 0..frame.len() {
+            prop_assert!(matches!(proto::try_decode(&frame[..cut]), Ok(None)), "cut at {}", cut);
+        }
+        let mut bad = frame.clone();
+        let bit = bit.index(8 * bad.len());
+        bad[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(Some((got, _))) = proto::try_decode(&bad) {
+            prop_assert_eq!(got, msg, "flipped bit {} silently accepted", bit);
+        }
+        let _ = proto::try_decode(&garbage);
     }
 }

@@ -9,9 +9,10 @@ use core::fmt;
 /// without allocating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// Buffer is shorter than the fixed header of the packet type.
+    /// Buffer is shorter than the fixed header of the packet type, or
+    /// than a [`Cursor`](crate::Cursor) read.
     Truncated {
-        /// Bytes required by the header.
+        /// Bytes required.
         need: usize,
         /// Bytes actually available.
         have: usize,
@@ -56,6 +57,14 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// For decoders that report through `std::io`: a wire error is invalid
+/// data.
+impl From<WireError> for std::io::Error {
+    fn from(e: WireError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

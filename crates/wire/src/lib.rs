@@ -21,6 +21,9 @@
 //! compute RTTs and detect responses sourced from a different address than
 //! the probed one (broadcast responders).
 //!
+//! [`cursor`] is the bounds-checked little-endian reader the dataset
+//! codecs and the oracle protocol decode through.
+//!
 //! [`addr`] holds the IPv4 address-block utilities the analysis relies on
 //! (/24 arithmetic, broadcast-looking last octets, block iteration).
 //!
@@ -33,6 +36,7 @@
 
 pub mod addr;
 pub mod checksum;
+pub mod cursor;
 pub mod error;
 pub mod icmp;
 pub mod ipv4;
@@ -42,6 +46,7 @@ pub mod udp;
 
 pub use addr::{Block24, BlockIter, LastOctetClass};
 pub use checksum::{internet_checksum, Checksum};
+pub use cursor::Cursor;
 pub use error::WireError;
 pub use icmp::{IcmpKind, IcmpPacket, IcmpRepr};
 pub use ipv4::{Ipv4Header, Ipv4Packet, Protocol};

@@ -3,9 +3,10 @@
 //! Umbrella crate re-exporting the full stack of the IMC 2015 reproduction:
 //!
 //! * [`runtime`] — the shared execution substrate: the `Clock` trait
-//!   (wall and deterministic virtual time), the canonical SplitMix64 RNG
-//!   and seed derivation, and the `DeadlineWheel` scheduler every timeout
-//!   loop runs on (see DESIGN.md §10),
+//!   (wall and deterministic virtual time), the workspace's one RNG
+//!   module (SplitMix64 and xoshiro256++) and seed derivation, and the
+//!   `DeadlineWheel` scheduler every timeout loop runs on (see DESIGN.md
+//!   §10),
 //! * [`wire`] — IPv4/ICMP/UDP/TCP codecs and the zmap-style payload embedding,
 //! * [`asdb`] — longest-prefix-match AS/geo database and address-space generator,
 //! * [`netsim`] — deterministic discrete-event Internet simulator,

@@ -217,6 +217,43 @@ fn wire_admin_ops_succeed_and_reject_with_typed_codes() {
     assert_eq!(metrics.counter("oracle/stale_delta_rejected"), Some(2));
 }
 
+/// A delta header claiming a 65 535 × 65 535 percentile grid, 37 bytes
+/// in all. Its decoder once allocated the claimed 34 GB of fallback cells
+/// before validating the counts, aborting the daemon that reloaded it.
+fn huge_grid_delta() -> Vec<u8> {
+    let mut bytes = b"BWTD\x01\x00\x00\x00".to_vec();
+    bytes.extend_from_slice(&[0; 16]); // base and target checksums
+    bytes.extend_from_slice(&[0xff; 4]); // r_count, c_count
+    bytes.extend_from_slice(&[0; 8]); // removed and upsert counts
+    bytes.push(1); // fallback cells follow
+    bytes
+}
+
+/// A crafted reload source is rejected like any corrupt one, and the
+/// server keeps answering from the snapshot it already serves.
+#[test]
+fn crafted_grid_header_is_rejected_and_serving_continues() {
+    let source = temp_path("hugegrid");
+    let delta = huge_grid_delta();
+    assert_eq!(delta.len(), 37);
+    std::fs::write(&source, delta).unwrap();
+    let cfg = server::ServerCfg::builder().shards(1).reload_from(&source).build().unwrap();
+    let handle = server::start(oracle_gen(0), "127.0.0.1:0", cfg).unwrap();
+    let mut c =
+        Client::connect_retry(handle.local_addr(), Duration::from_secs(5), Duration::from_secs(5))
+            .unwrap();
+    let before = c.query(0x0a00_0201, 950, 950).unwrap();
+    match c.reload(ReloadKind::Delta) {
+        Err(ClientError::Server(ErrorCode::SnapshotRejected)) => {}
+        other => panic!("crafted delta must be SnapshotRejected, got {other:?}"),
+    }
+    assert_eq!(c.snapshot_info().unwrap().version, 1);
+    assert_eq!(c.query(0x0a00_0201, 950, 950).unwrap(), before);
+    handle.shutdown();
+    handle.join();
+    std::fs::remove_file(&source).ok();
+}
+
 /// The in-process swap API: a publish through `ServerHandle::oracle`
 /// becomes visible to connected clients — new version, new answers —
 /// without any connection churn.
