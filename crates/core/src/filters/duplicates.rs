@@ -9,57 +9,64 @@
 //! broadcast response is also duplicated, there should be only 4 echo
 //! responses."
 
-use beware_dataset::{Record, RecordKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::by_addr;
+use beware_dataset::Record;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-address maximum number of responses observed for a single echo
-/// request. A matched response counts toward its own request; every
-/// unmatched response counts toward the most recent request to that
-/// address at its receive time.
+/// request, for every address that drew a response. A matched response
+/// counts toward its own request; every unmatched response counts toward
+/// the most recent request to that address at its receive time.
 pub fn max_responses_per_request(records: &[Record]) -> BTreeMap<u32, u32> {
-    // Request send times per address (matched, timeout and error records
-    // all represent requests).
-    let mut requests: HashMap<u32, Vec<u32>> = HashMap::new();
-    for r in records {
-        match r.kind {
-            RecordKind::Matched { .. } | RecordKind::Timeout | RecordKind::IcmpError { .. } => {
-                requests.entry(r.addr).or_default().push(r.time_s);
-            }
-            RecordKind::Unmatched { .. } => {}
-        }
-    }
-    for times in requests.values_mut() {
-        times.sort_unstable();
-    }
-
-    // Response counts per (address, request index).
-    let mut counts: HashMap<u32, HashMap<usize, u32>> = HashMap::new();
-    for r in records {
-        match r.kind {
-            RecordKind::Matched { .. } => {
-                let reqs = &requests[&r.addr];
-                let idx = reqs.partition_point(|&t| t <= r.time_s).saturating_sub(1);
-                *counts.entry(r.addr).or_default().entry(idx).or_insert(0) += 1;
-            }
-            RecordKind::Unmatched { recv_s } => {
-                let Some(reqs) = requests.get(&r.addr) else {
-                    // A response with no request at all: count it against a
-                    // virtual request 0 — it is certainly not trustworthy.
-                    *counts.entry(r.addr).or_default().entry(0).or_insert(0) += 1;
-                    continue;
-                };
-                let i = reqs.partition_point(|&t| t <= recv_s);
-                let idx = i.saturating_sub(1);
-                *counts.entry(r.addr).or_default().entry(idx).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-
-    counts
-        .into_iter()
-        .map(|(addr, per_req)| (addr, per_req.into_values().max().unwrap_or(0)))
+    by_addr::index(records)
+        .iter()
+        .map(|e| (e.addr, max_per_request(&e.requests, &e.matched_sent, &e.unmatched)))
         .collect()
+}
+
+/// The counting rule for one address. `requests` are the send times of
+/// all its requests (matched, timeout and ICMP error), `matched_sent` the
+/// send times of its matched ones and `unmatched` its unmatched receive
+/// times, all sorted ascending.
+///
+/// A response belongs to the last request sent at or before it. One that
+/// precedes every request belongs to the first; with no request at all,
+/// every response belongs to one virtual request — either way it is
+/// certainly not trustworthy. Owners never decrease with time, so one
+/// walk over both response lists in time order counts each request's
+/// responses as a run.
+pub(crate) fn max_per_request(requests: &[u32], matched_sent: &[u32], unmatched: &[u32]) -> u32 {
+    let (mut m, mut u) = (0, 0);
+    // `requests[..owner_end]` were sent at or before the current response.
+    let mut owner_end = 0;
+    let (mut run_owner, mut run, mut max) = (None, 0, 0);
+    loop {
+        let t = match (matched_sent.get(m), unmatched.get(u)) {
+            (Some(&a), Some(&b)) if a <= b => {
+                m += 1;
+                a
+            }
+            (_, Some(&b)) => {
+                u += 1;
+                b
+            }
+            (Some(&a), None) => {
+                m += 1;
+                a
+            }
+            (None, None) => return max,
+        };
+        while owner_end < requests.len() && requests[owner_end] <= t {
+            owner_end += 1;
+        }
+        let owner = owner_end.saturating_sub(1);
+        if run_owner == Some(owner) {
+            run += 1;
+        } else {
+            (run_owner, run) = (Some(owner), 1);
+        }
+        max = max.max(run);
+    }
 }
 
 /// Addresses whose maximum per-request response count exceeds

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod broadcast_octets;
+mod by_addr;
 pub mod cdf;
 pub mod filters;
 pub mod firstping;

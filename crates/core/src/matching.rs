@@ -12,8 +12,8 @@
 //! was already matched are returned separately — they are the raw material
 //! of the duplicate-response analysis (Figure 5).
 
+use crate::by_addr;
 use beware_dataset::Record;
-use std::collections::HashMap;
 
 /// A response recovered after the prober's timeout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,55 +54,39 @@ pub struct MatchOutcome {
 /// within the window already has its response, and requests answered by an
 /// ICMP error are excluded by the paper's methodology.
 pub fn match_unmatched(records: &[Record]) -> MatchOutcome {
-    // Per-address timed-out request times, in send order.
-    let mut requests: HashMap<u32, Vec<u32>> = HashMap::new();
-    // Per-address unmatched response times, in receive order.
-    let mut responses: HashMap<u32, Vec<u32>> = HashMap::new();
-    for r in records {
-        match r.kind {
-            beware_dataset::RecordKind::Timeout => {
-                requests.entry(r.addr).or_default().push(r.time_s);
-            }
-            beware_dataset::RecordKind::Unmatched { recv_s } => {
-                responses.entry(r.addr).or_default().push(recv_s);
-            }
-            _ => {}
-        }
-    }
-
     let mut out = MatchOutcome::default();
-    // Deterministic order: by address.
-    let mut addrs: Vec<u32> = responses.keys().copied().collect();
-    addrs.sort_unstable();
-    for addr in addrs {
-        let mut resp = responses.remove(&addr).expect("key from map");
-        resp.sort_unstable();
-        let mut reqs = requests.remove(&addr).unwrap_or_default();
-        reqs.sort_unstable();
-        // Index of the most recently *consumed* request; each request
-        // matches at most one response.
-        let mut consumed: Option<usize> = None;
-        for recv in resp {
-            // Last request at or before the response.
-            let i = reqs.partition_point(|&sent| sent <= recv);
-            if i == 0 {
-                out.leftovers.push((addr, recv));
-                continue;
-            }
-            let idx = i - 1;
-            if consumed.is_some_and(|c| idx <= c) {
-                out.leftovers.push((addr, recv));
-            } else {
-                consumed = Some(idx);
-                out.delayed.push(DelayedResponse {
-                    addr,
-                    sent_s: reqs[idx],
-                    latency_s: recv - reqs[idx],
-                });
-            }
-        }
+    for e in by_addr::index(records) {
+        match_address(e.addr, &e.timeouts, &e.unmatched, &mut out);
     }
     out
+}
+
+/// The matching rule for one address: `timeouts` are its timed-out
+/// requests' send times and `responses` its unmatched receive times, both
+/// sorted ascending. Appends to `out` in receive order.
+pub(crate) fn match_address(
+    addr: u32,
+    timeouts: &[u32],
+    responses: &[u32],
+    out: &mut MatchOutcome,
+) {
+    // `timeouts[..sent]` were sent at or before the current response;
+    // `timeouts[..consumed]` can match no further response, because each
+    // request matches at most one and a response never reaches back past
+    // the last request before it.
+    let (mut sent, mut consumed) = (0, 0);
+    for &recv in responses {
+        while sent < timeouts.len() && timeouts[sent] <= recv {
+            sent += 1;
+        }
+        if sent > consumed {
+            consumed = sent;
+            let sent_s = timeouts[sent - 1];
+            out.delayed.push(DelayedResponse { addr, sent_s, latency_s: recv - sent_s });
+        } else {
+            out.leftovers.push((addr, recv));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,10 @@
 //! responses, filter artifacts, and produce the per-address latency
 //! samples plus the accounting of the paper's Table 1.
 
+use crate::by_addr;
 use crate::filters::broadcast::{detect_broadcast_responders, BroadcastFilterCfg};
-use crate::filters::duplicates::{duplicate_offenders, max_responses_per_request};
-use crate::matching::match_unmatched;
+use crate::filters::duplicates::{duplicate_offenders, max_per_request};
+use crate::matching::{match_address, DelayedResponse, MatchOutcome};
 use crate::percentile::LatencySamples;
 use beware_dataset::Record;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -101,33 +102,21 @@ impl PipelineOutput {
     }
 }
 
-/// Accumulate matched RTTs per address. Hash-addressed: the B-tree's
-/// ordered structure is only needed at output, so ingestion avoids its
-/// per-record node traffic.
-fn accumulate_matched(records: &[Record]) -> HashMap<u32, LatencySamples> {
-    let mut out: HashMap<u32, LatencySamples> = HashMap::new();
-    for r in records {
-        if let Some(rtt) = r.rtt_secs() {
-            out.entry(r.addr).or_default().push(rtt);
-        }
-    }
-    out
-}
-
-/// Flush each sample set and emit in address order.
-fn extract_sorted(map: HashMap<u32, LatencySamples>) -> BTreeMap<u32, LatencySamples> {
-    map.into_iter()
-        .map(|(a, mut s)| {
-            s.flush();
-            (a, s)
-        })
-        .collect()
+/// One address's samples: its matched RTTs plus the latencies recovered
+/// for it, unsorted.
+fn address_samples(mut rtts: Vec<f64>, delayed: &[DelayedResponse]) -> LatencySamples {
+    rtts.extend(delayed.iter().map(|d| f64::from(d.latency_s)));
+    LatencySamples::from_values(rtts)
 }
 
 /// Per-address samples from **survey-detected responses only** (Figure 1's
 /// view of the data, clipped at the prober timeout).
 pub fn survey_samples(records: &[Record]) -> BTreeMap<u32, LatencySamples> {
-    extract_sorted(accumulate_matched(records))
+    by_addr::index(records)
+        .into_iter()
+        .filter(|e| !e.rtts.is_empty())
+        .map(|e| (e.addr, address_samples(e.rtts, &[])))
+        .collect()
 }
 
 /// Run matching, filtering and accounting over one survey's records.
@@ -142,50 +131,58 @@ pub fn run_pipeline(records: &[Record], cfg: &PipelineCfg) -> PipelineOutput {
 /// and filter hit counts (`pipeline/filter/...`). Telemetry never alters
 /// the output: the returned [`PipelineOutput`] is identical whether
 /// `metrics` is enabled, disabled, or shared across calls.
+///
+/// Every rule but the broadcast filter is local to one address, so the
+/// records are grouped by address once and one walk over the groups, in
+/// address order, matches, counts Figure 5's per-request responses and
+/// accumulates samples.
 pub fn run_pipeline_with(
     records: &[Record],
     cfg: &PipelineCfg,
     metrics: &mut beware_telemetry::Registry,
 ) -> PipelineOutput {
-    // 1. Survey-detected responses.
-    let mut acc = accumulate_matched(records);
-    let survey_detected = CountRow {
-        packets: records.iter().filter(|r| r.is_matched()).count() as u64,
-        addresses: acc.len() as u64,
-    };
-
-    // 2. Naive matching of unmatched responses.
-    let outcome = match_unmatched(records);
-    for d in &outcome.delayed {
-        acc.entry(d.addr).or_default().push(f64::from(d.latency_s));
+    let mut outcome = MatchOutcome::default();
+    let mut max_responses = Vec::new();
+    let mut naive = Vec::new();
+    let mut survey_detected = CountRow::default();
+    for e in by_addr::index(records) {
+        // 1. Survey-detected responses.
+        if !e.rtts.is_empty() {
+            survey_detected.packets += e.rtts.len() as u64;
+            survey_detected.addresses += 1;
+        }
+        // 2. Naive matching of unmatched responses.
+        let first = outcome.delayed.len();
+        match_address(e.addr, &e.timeouts, &e.unmatched, &mut outcome);
+        // 3. Figure 5's input to the duplicate filter.
+        max_responses.push((e.addr, max_per_request(&e.requests, &e.matched_sent, &e.unmatched)));
+        let delayed = &outcome.delayed[first..];
+        if !e.rtts.is_empty() || !delayed.is_empty() {
+            naive.push((e.addr, address_samples(e.rtts, delayed)));
+        }
     }
     let naive_matching = CountRow {
         packets: survey_detected.packets + outcome.delayed.len() as u64,
-        addresses: acc.len() as u64,
+        addresses: naive.len() as u64,
     };
+    let max_responses: BTreeMap<u32, u32> = max_responses.into_iter().collect();
 
-    // 3. Filters.
+    // 4. Filters.
     let broadcast_responders = detect_broadcast_responders(&outcome.delayed, &cfg.broadcast);
-    let max_responses = max_responses_per_request(records);
     let mut dup_set = duplicate_offenders(&max_responses, cfg.dup_threshold());
     // Disjoint accounting, as in the paper: an address that is both is
     // counted under broadcast.
     dup_set.retain(|a| !broadcast_responders.contains(a));
 
-    // 4. Partition into survivors and rejects by move — no sample set is
-    // cloned.
-    let mut samples: BTreeMap<u32, LatencySamples> = BTreeMap::new();
-    let mut rejected_samples: BTreeMap<u32, LatencySamples> = BTreeMap::new();
-    for (a, mut s) in acc {
-        s.flush();
-        if broadcast_responders.contains(&a) || dup_set.contains(&a) {
-            rejected_samples.insert(a, s);
-        } else {
-            samples.insert(a, s);
-        }
-    }
+    // 5. Partition into survivors and rejects by move — no sample set is
+    // cloned. Both halves stay in address order, so the maps build in bulk.
+    let (rejected, kept): (Vec<_>, Vec<_>) = naive
+        .into_iter()
+        .partition(|(a, _)| broadcast_responders.contains(a) || dup_set.contains(a));
+    let rejected_samples: BTreeMap<u32, LatencySamples> = rejected.into_iter().collect();
+    let samples: BTreeMap<u32, LatencySamples> = kept.into_iter().collect();
 
-    // 5. Accounting of the discarded responses and the final dataset.
+    // 6. Accounting of the discarded responses and the final dataset.
     let count_rejected_packets = |addrs: &BTreeSet<u32>| -> u64 {
         addrs.iter().filter_map(|a| rejected_samples.get(a)).map(|s| s.len() as u64).sum()
     };
@@ -208,7 +205,7 @@ pub fn run_pipeline_with(
         survey_plus_delayed,
     };
 
-    // 6. Telemetry, flushed once so the hot path above stays untouched.
+    // 7. Telemetry, flushed once so the hot path above stays untouched.
     if metrics.enabled() {
         fn stage_row(stage: &mut beware_telemetry::Scope<'_>, name: &str, row: CountRow) {
             let mut s = stage.scope(name);

@@ -194,7 +194,9 @@ pub fn read_records<R: Read>(input: &mut R) -> Result<Vec<Record>, DecodeError> 
     let count = h.u64()?;
 
     let mut checksum = Fletcher::default();
-    let mut records = Vec::with_capacity(count.min(1 << 24) as usize);
+    // The count is untrusted until the records arrive: reserve at most
+    // 64 Ki up front, as the snapshot decoders do, and grow from there.
+    let mut records = Vec::with_capacity(count.min(1 << 16) as usize);
     let mut tag = [0u8];
     for _ in 0..count {
         input.read_exact(&mut tag)?;

@@ -22,6 +22,8 @@
 //! * **quiescence** — hosts idle longer than the configured window are
 //!   reclaimed opportunistically on every insert.
 //!
+//! A table with neither bound (every eager world's) keeps no queue.
+//!
 //! Both policies are driven only by the deterministic probe sequence, so
 //! a given workload always evicts the same hosts in the same order.
 //! Broadcast fan-out deliberately bypasses the table (neighbors answer
@@ -103,7 +105,8 @@ pub(crate) struct HostTable {
     map: HashMap<u32, HostSlot>,
     /// Probe-ordered `(last_probe, addr)` stamps; an entry is live iff it
     /// matches its slot's `last_probe` (re-probes leave stale stamps that
-    /// pops and compaction discard).
+    /// pops and compaction discard). Kept only when some policy evicts:
+    /// an unbounded table without a quiescence window never reads it.
     order: VecDeque<(SimTime, u32)>,
     evicted: u64,
     peak: usize,
@@ -156,16 +159,24 @@ impl HostTable {
             self.map.insert(addr, HostSlot { state: make(), last_probe: now });
             self.peak = self.peak.max(self.map.len());
         }
-        self.order.push_back((now, addr));
-        // The queue holds one stale stamp per re-probe; rebuild it once it
-        // dwarfs the live set so memory stays O(resident hosts).
-        if self.order.len() > self.map.len().saturating_mul(4).max(64) {
-            let map = &self.map;
-            self.order.retain(|&(t, a)| map.get(&a).is_some_and(|s| s.last_probe == t));
+        if self.evicts() {
+            self.order.push_back((now, addr));
+            // The queue holds one stale stamp per re-probe; rebuild it once
+            // it dwarfs the live set so memory stays O(resident hosts).
+            if self.order.len() > self.map.len().saturating_mul(4).max(64) {
+                let map = &self.map;
+                self.order.retain(|&(t, a)| map.get(&a).is_some_and(|s| s.last_probe == t));
+            }
         }
         let slot = self.map.get_mut(&addr).expect("just ensured present");
         slot.last_probe = now;
         &mut slot.state
+    }
+
+    /// Whether either eviction policy can ever fire, and so whether the
+    /// recency queue is needed.
+    fn evicts(&self) -> bool {
+        self.cap != usize::MAX || self.quiescence.is_some()
     }
 
     /// Drop hosts whose most recent probe is at least a quiescence window
@@ -298,6 +309,19 @@ mod tests {
         assert_eq!(table.evicted(), 1);
         assert!(table.map.contains_key(&10));
         assert!(table.order.len() <= 64, "queue compaction bounds stale stamps");
+    }
+
+    #[test]
+    fn unbounded_table_keeps_no_recency_queue() {
+        let mut table = HostTable::unbounded();
+        for i in 0..200u64 {
+            let addr = (i % 50) as u32;
+            table.entry_with(addr, t(i), || state(addr, t(i)));
+        }
+        assert_eq!(table.len(), 50);
+        assert_eq!(table.peak(), 50);
+        assert_eq!(table.evicted(), 0);
+        assert!(table.order.is_empty(), "nothing evicts, so nothing is queued");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reproducibility guarantees: the same seed must produce byte-identical
 //! datasets through the entire stack, and different seeds must not.
 
-use beware::analysis::pipeline::{run_pipeline, PipelineCfg};
+use beware::analysis::pipeline::{run_pipeline, CountRow, PipelineCfg, PipelineOutput};
 use beware::dataset::{binfmt, ScanMeta};
 use beware::netsim::scenario::{Scenario, ScenarioCfg, VANTAGES};
 use beware::probe::prelude::*;
@@ -134,4 +134,69 @@ fn parallel_matches_serial() {
         );
     }
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// FNV-1a over a canonical byte image of everything the pipeline returns:
+/// both sample partitions (sorted values as f64 bits), both filter sets,
+/// Figure 5's maxima and every Table 1 row.
+fn pipeline_digest(out: &PipelineOutput) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for part in [&out.samples, &out.rejected_samples] {
+        eat(part.len() as u64);
+        for (&addr, s) in part {
+            eat(u64::from(addr));
+            eat(s.len() as u64);
+            s.values().iter().for_each(|v| eat(v.to_bits()));
+        }
+    }
+    for set in [&out.broadcast_responders, &out.duplicate_offenders] {
+        eat(set.len() as u64);
+        set.iter().for_each(|&a| eat(u64::from(a)));
+    }
+    eat(out.max_responses.len() as u64);
+    for (&addr, &max) in &out.max_responses {
+        eat(u64::from(addr));
+        eat(u64::from(max));
+    }
+    let acc = &out.accounting;
+    for row in [
+        acc.survey_detected,
+        acc.naive_matching,
+        acc.broadcast_responses,
+        acc.duplicate_responses,
+        acc.survey_plus_delayed,
+    ] {
+        eat(row.packets);
+        eat(row.addresses);
+    }
+    h
+}
+
+/// The whole `PipelineOutput` of two seeded surveys, pinned. Any change
+/// to matching, either filter, sample accumulation or Table 1's
+/// accounting moves a digest; a change meant to be output-preserving
+/// must leave both in place.
+#[test]
+fn pipeline_output_is_pinned() {
+    let run = |seed: u64, blocks: usize, rounds: u32| {
+        let sc = scenario(seed);
+        let blocks: Vec<u32> = sc.plan.blocks().map(|(b, _)| b).take(blocks).collect();
+        let cfg = SurveyCfg { blocks, rounds, seed, ..Default::default() };
+        let mut world = sc.build_world();
+        let records = cfg.build(Vec::new()).run(&mut world).0 .0;
+        run_pipeline(&records, &PipelineCfg::paper())
+    };
+    let a = run(7, 48, 40);
+    // Both filters fire here, so the pin covers their sets and rows.
+    assert_eq!(a.accounting.broadcast_responses, CountRow { packets: 400, addresses: 10 });
+    assert_eq!(a.accounting.duplicate_responses, CountRow { packets: 40, addresses: 1 });
+    let b = run(1511, 24, 30);
+    assert_eq!(pipeline_digest(&a), 0xf883_e109_52de_6a7b);
+    assert_eq!(pipeline_digest(&b), 0xe8aa_4e73_5282_3cd3);
 }
