@@ -47,8 +47,9 @@ use beware_netsim::{run_tasks, Agent, Ctx, Packet, Simulation, TimerId};
 use beware_policy::PolicyKind;
 use beware_runtime::reactor::StopSignal;
 use beware_serve::engine::{channel_pair, ChannelPeer, ChannelTransport, Conn, Engine, EngineCore};
+use beware_serve::machine::{AfterTimeout, ClientMachine, Outcome, Reply};
 use beware_serve::oracle::Oracle;
-use beware_serve::proto::{self, Message};
+use beware_serve::proto::Message;
 use beware_serve::{build_snapshot, SnapshotCfg};
 use beware_telemetry::Registry;
 use std::collections::BTreeMap;
@@ -201,68 +202,18 @@ const CLIENT_RX: u64 = 2 << 32;
 const TIMEOUT: u64 = 3 << 32;
 const KIND_MASK: u64 = 0xffff_ffff_0000_0000;
 
-/// Deterministic per-cell aggregate, merged in cell order. Strictly
-/// `u64` arithmetic — no float accumulation order to worry about.
+/// One client's closed loop: the client machine plus the cell's timers.
 #[derive(Debug)]
-struct CellOut {
-    queries_sent: u64,
-    ok: u64,
-    wrong: u64,
-    timeouts: u64,
-    errors: u64,
-    requests_dropped: u64,
-    replies_dropped: u64,
-    gave_up_inflight: u64,
-    reports_sent: u64,
-    rtt_sum_us: u64,
-    rtt_max_us: u64,
-    rtt_hist: [u64; RTT_BUCKETS],
-    // Perf numbers (deterministic here, but reported outside the
-    // summary alongside the wall clock).
-    sim_events: u64,
-    queue_peak: u64,
-    link_drops: u64,
-    reg: Registry,
-}
-
-impl Default for CellOut {
-    // Manual because `[u64; 40]` has no derived Default.
-    fn default() -> Self {
-        CellOut {
-            queries_sent: 0,
-            ok: 0,
-            wrong: 0,
-            timeouts: 0,
-            errors: 0,
-            requests_dropped: 0,
-            replies_dropped: 0,
-            gave_up_inflight: 0,
-            reports_sent: 0,
-            rtt_sum_us: 0,
-            rtt_max_us: 0,
-            rtt_hist: [0; RTT_BUCKETS],
-            sim_events: 0,
-            queue_peak: 0,
-            link_drops: 0,
-            reg: Registry::new(),
-        }
-    }
-}
-
-/// One client's closed loop.
-#[derive(Debug, Default)]
 struct Client {
     addr: u32,
     attempts_left: u32,
     attempt: u32,
     /// Dog-fooded timeout: the last served recommendation (floored).
     timeout_secs: f64,
-    /// Last measured RTT, reported to the policy plane before the next
-    /// query.
+    /// Last measured RTT, reported to the policy plane with the next query.
     last_rtt_us: Option<u64>,
-    sent_at: SimTime,
-    /// Snapshot mode: the bits the oracle must serve for this query.
-    expected_bits: Option<u64>,
+    /// The protocol half, under [`AfterTimeout::Drain`].
+    machine: ClientMachine,
     /// The cancellable timeout — set at send, cancelled on answer.
     timeout_timer: Option<TimerId>,
     /// The in-flight network delivery (request or reply leg).
@@ -281,11 +232,11 @@ impl Client {
 /// tokens encode `(kind, client)`.
 ///
 /// No client holds bytes of its own. A request is encoded into the
-/// cell's scratch buffer and written into the channel when it *arrives*
-/// at the server, so a dropped request leaves nothing behind. The reply
-/// waits in the channel's outbound queue until it arrives back at the
-/// client; a reply the link drops, or one the client gives up on, is
-/// drained and discarded.
+/// cell's scratch buffer when it departs and queued on the channel only
+/// if the link carries it; the engine reads it when it *arrives* at the
+/// server. The reply waits in the channel's outbound queue until it
+/// arrives back at the client; a reply the link drops, or anything a
+/// timed-out client gives up on, is discarded.
 struct CellAgent {
     cfg: SimServeCfg,
     core: EngineCore,
@@ -295,9 +246,10 @@ struct CellAgent {
     peers: Vec<ChannelPeer>,
     clients: Vec<Client>,
     oracle: Arc<Oracle>,
-    /// Request and reply bytes of the event being handled.
+    /// Request bytes of the departure being handled.
     scratch: Vec<u8>,
-    out: CellOut,
+    /// This cell's counters (`u64` arithmetic), merged in cell order.
+    out: SimServeReport,
 }
 
 impl CellAgent {
@@ -315,8 +267,12 @@ impl CellAgent {
             clients.push(Client {
                 addr,
                 attempts_left: cfg.queries_per_client,
+                attempt: 0,
                 timeout_secs: INITIAL_TIMEOUT_SECS,
-                ..Client::default()
+                last_rtt_us: None,
+                machine: ClientMachine::new(AfterTimeout::Drain),
+                timeout_timer: None,
+                net_timer: None,
             });
         }
         // Generous tier capacities: this campaign studies partitions and
@@ -352,7 +308,7 @@ impl CellAgent {
             clients,
             oracle: Arc::clone(oracle),
             scratch: Vec::new(),
-            out: CellOut::default(),
+            out: SimServeReport::empty(cfg),
         }
     }
 
@@ -390,27 +346,29 @@ impl CellAgent {
 
     fn fire(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let policy_mode = self.cfg.policy.is_some();
         let c = &mut self.clients[i];
         debug_assert!(c.attempts_left > 0, "fired with no attempts left");
         c.attempts_left -= 1;
         let (r, p) = c.pct_pair(c.attempt);
         c.attempt += 1;
-        c.sent_at = now;
-        c.expected_bits = if policy_mode {
-            None
-        } else {
-            Some(self.oracle.lookup(c.addr, r, p).expect("grid pair resolves").timeout_bits)
-        };
-        if policy_mode && c.last_rtt_us.is_some() {
+        // In policy mode a Report of the last RTT rides ahead of the Query.
+        self.scratch.clear();
+        if let (Some(rtt_us), Some(_)) = (c.last_rtt_us, self.cfg.policy) {
+            let rtt_us = rtt_us.min(u64::from(u32::MAX)) as u32;
+            c.machine.feedback(c.addr, rtt_us, &mut self.scratch);
             self.out.reports_sent += 1;
         }
         self.out.queries_sent += 1;
+        let query = Message::Query { addr: c.addr, addr_pct_tenths: r, ping_pct_tenths: p };
         let timeout = SimDuration::from_secs_f64(c.timeout_secs);
-        c.timeout_timer = Some(ctx.set_timer(now + timeout, TIMEOUT | i as u64));
+        let sent = c.machine.send(now.into(), timeout.into(), &query, &mut self.scratch);
+        let deadline = SimTime::try_from(sent.expect("a draining client is never poisoned"));
+        let deadline = deadline.expect("deadlines stay inside the simulated horizon");
+        c.timeout_timer = Some(ctx.set_timer(deadline, TIMEOUT | i as u64));
         let addr = c.addr;
         match self.links.traverse(&path_of(addr), now) {
             Some(extra) => {
+                self.peers[i].send(&self.scratch);
                 let at = now + PROP_ONE_WAY + extra;
                 self.clients[i].net_timer = Some(ctx.set_timer(at, SERVER_RX | i as u64));
             }
@@ -422,33 +380,12 @@ impl CellAgent {
         }
     }
 
-    /// Move the reply bytes queued on client `i`'s channel into
-    /// `scratch`, emptying the channel.
-    fn take_reply(&mut self, i: usize) {
-        self.scratch.clear();
-        self.peers[i].drain(&mut self.scratch);
-    }
-
     fn server_rx(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let c = &mut self.clients[i];
-        c.net_timer = None;
-        // The frames `fire` sent for: a Report of the last RTT when one is
-        // due, then the Query of the attempt just made.
-        self.scratch.clear();
-        if self.cfg.policy.is_some() {
-            if let Some(rtt_us) = c.last_rtt_us {
-                let rtt_us = rtt_us.min(u64::from(u32::MAX)) as u32;
-                proto::encode_into(&Message::Report { addr: c.addr, rtt_us }, &mut self.scratch);
-            }
-        }
-        let (r, p) = c.pct_pair(c.attempt - 1);
-        let query = Message::Query { addr: c.addr, addr_pct_tenths: r, ping_pct_tenths: p };
-        proto::encode_into(&query, &mut self.scratch);
-        self.peers[i].send(&self.scratch);
+        self.clients[i].net_timer = None;
         let engine = self.engine.as_mut().expect("engine built at start");
-        engine.service(&mut self.conns[i], &mut self.out.reg);
-        engine.flush(&mut self.conns[i], &mut self.out.reg);
+        engine.service(&mut self.conns[i], &mut self.out.registry);
+        engine.flush(&mut self.conns[i], &mut self.out.registry);
         if self.peers[i].pending() == 0 {
             return;
         }
@@ -460,43 +397,51 @@ impl CellAgent {
             }
             None => {
                 self.out.replies_dropped += 1;
-                self.take_reply(i);
+                self.peers[i].discard();
             }
         }
     }
 
     fn client_rx(&mut self, i: usize, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        self.clients[i].net_timer = None;
-        // The answer made it: cancel the timeout *before* judging the
-        // payload — this is the wheel cancellation the refactor bought.
-        if let Some(id) = self.clients[i].timeout_timer.take() {
+        let c = &mut self.clients[i];
+        c.net_timer = None;
+        let Some(outcome) = self.peers[i].deliver(&mut c.machine, now.into()) else {
+            return; // a partial reply: the timeout is still armed
+        };
+        // The answer made it: cancel the timeout — this is the wheel
+        // cancellation the refactor bought.
+        if let Some(id) = c.timeout_timer.take() {
             let cancelled = ctx.cancel_timer(id);
             debug_assert!(cancelled, "reply in hand implies a pending timeout");
         }
-        self.take_reply(i);
-        let Some(timeout_bits) = answer_bits(&self.scratch) else {
-            self.out.errors += 1;
-            self.next_attempt(i, ctx);
-            return;
+        let (served, rtt) = match outcome {
+            Outcome::Reply { reply: Ok(Reply::Answer(a)), rtt } => (a, rtt),
+            _ => {
+                self.out.errors += 1;
+                self.next_attempt(i, ctx);
+                return;
+            }
         };
-        let served = f64::from_bits(timeout_bits);
-        let valid = match self.clients[i].expected_bits {
-            // Snapshot mode: bit-exact against a direct oracle lookup.
-            Some(expected) => timeout_bits == expected,
+        let valid = if self.cfg.policy.is_some() {
             // Policy mode: a finite, positive, sane recommendation.
-            None => served.is_finite() && served > 0.0 && served <= 3_600.0,
+            let secs = served.timeout_secs;
+            secs.is_finite() && secs > 0.0 && secs <= 3_600.0
+        } else {
+            // Snapshot mode: bit-exact against a direct oracle lookup.
+            let (r, p) = c.pct_pair(c.attempt - 1);
+            let expected = self.oracle.lookup(c.addr, r, p).expect("grid pair resolves");
+            served.timeout_bits == expected.timeout_bits
         };
-        let rtt_us = now.saturating_since(self.clients[i].sent_at).as_us();
+        let rtt_us = u64::try_from(rtt.as_micros()).unwrap_or(u64::MAX);
         if valid {
             self.out.ok += 1;
             self.out.rtt_sum_us += rtt_us;
             self.out.rtt_max_us = self.out.rtt_max_us.max(rtt_us);
             let bucket = (u64::BITS - 1 - (rtt_us | 1).leading_zeros()) as usize;
             self.out.rtt_hist[bucket.min(RTT_BUCKETS - 1)] += 1;
-            let c = &mut self.clients[i];
             c.last_rtt_us = Some(rtt_us);
-            c.timeout_secs = served.clamp(MIN_CLIENT_TIMEOUT_SECS, 3_600.0);
+            c.timeout_secs = served.timeout_secs.clamp(MIN_CLIENT_TIMEOUT_SECS, 3_600.0);
         } else {
             self.out.wrong += 1;
         }
@@ -504,33 +449,19 @@ impl CellAgent {
     }
 
     fn timed_out(&mut self, i: usize, ctx: &mut Ctx<'_>) {
-        self.clients[i].timeout_timer = None;
+        let c = &mut self.clients[i];
+        c.timeout_timer = None;
+        c.machine.on_deadline();
         self.out.timeouts += 1;
         // Give up on whatever leg is still in flight — the paper's
         // bounded-listen discipline, applied by the client.
-        if let Some(id) = self.clients[i].net_timer.take() {
+        if let Some(id) = c.net_timer.take() {
             ctx.cancel_timer(id);
             self.out.gave_up_inflight += 1;
         }
-        self.take_reply(i);
+        self.peers[i].discard();
         self.next_attempt(i, ctx);
     }
-}
-
-/// The timeout bits of the one `Answer` in a reply, which may follow
-/// `ReportAck`s; `None` for anything else or for bytes that do not decode.
-fn answer_bits(mut bytes: &[u8]) -> Option<u64> {
-    let mut answer = None;
-    while !bytes.is_empty() {
-        let (msg, used) = proto::try_decode(bytes).ok()??;
-        bytes = &bytes[used..];
-        match msg {
-            Message::Answer { timeout_bits, .. } => answer = Some(timeout_bits),
-            Message::ReportAck { .. } => {}
-            _ => return None,
-        }
-    }
-    answer
 }
 
 impl Agent for CellAgent {
@@ -565,7 +496,7 @@ impl Agent for CellAgent {
 }
 
 /// Campaign results: deterministic counters plus run-specific perf.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimServeReport {
     /// The configuration the campaign ran with.
     pub cfg: SimServeCfg,
@@ -592,7 +523,7 @@ pub struct SimServeReport {
     /// Slowest validated answer, microseconds.
     pub rtt_max_us: u64,
     /// Log₂ RTT histogram: bucket `i` counts RTTs in `[2^i, 2^(i+1))` µs.
-    pub rtt_hist: [u64; RTT_BUCKETS],
+    pub rtt_hist: Vec<u64>,
     /// Oracle queries the engine shards served (from telemetry).
     pub served_queries: u64,
     /// Exact-prefix answers served.
@@ -651,32 +582,10 @@ pub fn run(cfg: &SimServeCfg) -> Result<SimServeReport, String> {
         agent.out.link_drops = agent.links.drops();
         agent.out
     });
-    let wall_secs = t0.elapsed().as_secs_f64();
 
     // Merge in cell order (run_tasks already returns input order).
-    let mut r = SimServeReport {
-        cfg: cfg.clone(),
-        queries_sent: 0,
-        ok: 0,
-        wrong: 0,
-        timeouts: 0,
-        errors: 0,
-        requests_dropped: 0,
-        replies_dropped: 0,
-        gave_up_inflight: 0,
-        reports_sent: 0,
-        rtt_sum_us: 0,
-        rtt_max_us: 0,
-        rtt_hist: [0; RTT_BUCKETS],
-        served_queries: 0,
-        served_exact: 0,
-        served_fallback: 0,
-        sim_events: 0,
-        queue_peak: 0,
-        link_drops: 0,
-        wall_secs,
-        registry: Registry::new(),
-    };
+    let mut r = SimServeReport::empty(cfg);
+    r.wall_secs = t0.elapsed().as_secs_f64();
     for out in outs {
         r.queries_sent += out.queries_sent;
         r.ok += out.ok;
@@ -695,7 +604,7 @@ pub fn run(cfg: &SimServeCfg) -> Result<SimServeReport, String> {
         r.sim_events += out.sim_events;
         r.queue_peak = r.queue_peak.max(out.queue_peak);
         r.link_drops += out.link_drops;
-        r.registry.merge(&out.reg);
+        r.registry.merge(&out.registry);
     }
     r.served_queries = r.registry.counter("serve/queries").unwrap_or(0);
     r.served_exact = r.registry.counter("serve/hits_exact").unwrap_or(0);
@@ -704,6 +613,12 @@ pub fn run(cfg: &SimServeCfg) -> Result<SimServeReport, String> {
 }
 
 impl SimServeReport {
+    /// All counters zero.
+    fn empty(cfg: &SimServeCfg) -> SimServeReport {
+        let (rtt_hist, registry) = (vec![0; RTT_BUCKETS], Registry::new());
+        SimServeReport { cfg: cfg.clone(), rtt_hist, registry, ..Default::default() }
+    }
+
     /// The deterministic summary: every field is a pure function of the
     /// campaign identity, so two runs produce byte-identical documents
     /// regardless of `--threads` — the artifact the CI smoke `cmp`s.
@@ -741,19 +656,11 @@ impl SimServeReport {
             "  \"rtt_sum_us\": {}, \"rtt_max_us\": {},\n",
             self.rtt_sum_us, self.rtt_max_us
         ));
-        out.push_str("  \"rtt_hist_log2_us\": [");
-        let mut first = true;
-        for (i, &n) in self.rtt_hist.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("{{\"bucket\": {i}, \"count\": {n}}}"));
-        }
-        out.push_str("]\n}\n");
+        let hist: Vec<String> = (self.rtt_hist.iter().enumerate())
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, n)| format!("{{\"bucket\": {i}, \"count\": {n}}}"))
+            .collect();
+        out.push_str(&format!("  \"rtt_hist_log2_us\": [{}]\n}}\n", hist.join(", ")));
         out
     }
 

@@ -5,10 +5,12 @@
 //! read carries a socket timeout, so a stalled server surfaces as
 //! [`ClientError::Io`] instead of hanging the caller forever.
 
+use crate::machine::{AfterTimeout, ClientMachine, Outcome, Reply};
 use crate::proto::{self, ErrorCode, Message, ProtoError, ReloadKind, Status};
 use beware_runtime::clock::{SharedClock, WallClock};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A fully decoded query answer.
@@ -95,10 +97,7 @@ impl From<io::Error> for ClientError {
 
 impl From<ProtoError> for ClientError {
     fn from(e: ProtoError) -> Self {
-        match e {
-            ProtoError::Io(io) => ClientError::Io(io),
-            other => ClientError::Proto(other),
-        }
+        ClientError::Proto(e)
     }
 }
 
@@ -107,45 +106,47 @@ impl From<ProtoError> for ClientError {
 /// Anything else — unroutable network, permission, bad socket options —
 /// will not improve within any deadline, so retrying just burns it.
 fn connect_error_is_retryable(e: &ClientError) -> bool {
-    matches!(
-        e,
-        ClientError::Io(io) if matches!(
-            io.kind(),
-            io::ErrorKind::ConnectionRefused
-                | io::ErrorKind::ConnectionReset
-                | io::ErrorKind::ConnectionAborted
-        )
-    )
+    use io::ErrorKind::{ConnectionAborted, ConnectionRefused, ConnectionReset};
+    let ClientError::Io(e) = e else { return false };
+    matches!(e.kind(), ConnectionRefused | ConnectionReset | ConnectionAborted)
 }
 
-/// One connection to an oracle server.
-///
-/// Generic over the transport: production code uses the
-/// [`TcpStream`] default via [`connect`](Client::connect), tests feed any
-/// `Read + Write` — e.g. a
-/// [`FaultyTransport`](../../beware_faultsim/struct.FaultyTransport.html)
-/// over an in-memory oracle — through
-/// [`from_transport`](Client::from_transport), so the poisoning contract
-/// is checkable without sockets or real timeouts.
+/// One connection to an oracle server: the blocking driver of a
+/// [`ClientMachine`] under the [`AfterTimeout::Poison`] rule. The
+/// transport's read timeout is the deadline; it surfaces as
+/// [`ClientError::Io`]. Generic over the transport: [`connect`](Client::connect)
+/// opens a [`TcpStream`], and [`from_transport`](Client::from_transport)
+/// takes any `Read + Write` (a `FaultyTransport` over an in-memory oracle,
+/// say), so the poisoning contract is checkable without sockets.
 #[derive(Debug)]
 pub struct Client<T = TcpStream> {
     stream: T,
-    poisoned: bool,
+    machine: ClientMachine,
+    clock: SharedClock,
+    /// Request bytes, encoded in place.
+    tx: Vec<u8>,
+    /// Received bytes the machine has not used yet.
+    rx: Vec<u8>,
 }
 
 impl Client<TcpStream> {
     /// Connect with a bounded read timeout on the resulting connection.
     pub fn connect(addr: SocketAddr, read_timeout: Duration) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        Ok(Client { stream, poisoned: false })
+        Client::tcp(TcpStream::connect(addr)?, read_timeout, WallClock::shared())
+    }
+
+    fn tcp(s: TcpStream, timeout: Duration, clock: SharedClock) -> Result<Client, ClientError> {
+        s.set_nodelay(true)?;
+        s.set_read_timeout(Some(timeout))?;
+        Ok(Client { clock, ..Client::from_transport(s) })
     }
 
     /// Connect, retrying on refusal until `deadline` elapses — for racing
-    /// a server that is still binding its socket. Non-refusal errors (an
-    /// unroutable address, say) fail immediately rather than spinning for
-    /// the full deadline.
+    /// a server that is still binding its socket. Each attempt is bounded
+    /// by the deadline's remainder, so a host that drops SYNs costs at
+    /// most `deadline`, not the kernel's minutes of SYN retries.
+    /// Non-refusal errors (an unroutable address, say) fail immediately
+    /// rather than spinning for the full deadline.
     pub fn connect_retry(
         addr: SocketAddr,
         read_timeout: Duration,
@@ -156,7 +157,8 @@ impl Client<TcpStream> {
 
     /// [`connect_retry`](Client::connect_retry) with the retry deadline
     /// and backoff measured on `clock` — under a virtual clock the
-    /// deadline arithmetic is testable without waiting it out.
+    /// deadline arithmetic is testable without waiting it out. The
+    /// connection times its round trips on `clock` too.
     pub fn connect_retry_with_clock(
         addr: SocketAddr,
         read_timeout: Duration,
@@ -164,16 +166,21 @@ impl Client<TcpStream> {
         clock: &SharedClock,
     ) -> Result<Client, ClientError> {
         let t0 = clock.now();
+        let mut last = None;
         loop {
-            match Client::connect(addr, read_timeout) {
-                Ok(c) => return Ok(c),
-                Err(e) => {
-                    if !connect_error_is_retryable(&e) || clock.since(t0) >= deadline {
-                        return Err(e);
-                    }
-                    clock.sleep(Duration::from_millis(10));
-                }
+            // `connect_timeout` rejects a zero budget: a spent deadline
+            // ends the loop with the last attempt's error instead.
+            let left = deadline.saturating_sub(clock.since(t0));
+            if left.is_zero() {
+                return Err(last.unwrap_or_else(|| io::Error::from(io::ErrorKind::TimedOut).into()));
             }
+            let attempt = TcpStream::connect_timeout(&addr, left).map_err(ClientError::from);
+            match attempt.and_then(|s| Client::tcp(s, read_timeout, Arc::clone(clock))) {
+                Ok(c) => return Ok(c),
+                Err(e) if connect_error_is_retryable(&e) => last = Some(e),
+                Err(e) => return Err(e),
+            }
+            clock.sleep(Duration::from_millis(10));
         }
     }
 }
@@ -183,13 +190,19 @@ impl<T: Read + Write> Client<T> {
     /// timeout configuration the transport needs; the poisoning rules
     /// are identical to a TCP client's.
     pub fn from_transport(stream: T) -> Client<T> {
-        Client { stream, poisoned: false }
+        Client {
+            stream,
+            machine: ClientMachine::new(AfterTimeout::Poison),
+            clock: WallClock::shared(),
+            tx: Vec::new(),
+            rx: Vec::new(),
+        }
     }
 
     /// Whether an earlier mid-frame failure has poisoned this connection
     /// (every further round-trip returns [`ClientError::Poisoned`]).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+        self.machine.is_poisoned()
     }
 
     /// Ask for the timeout covering `addr_pct_tenths`‰ of addresses and
@@ -198,43 +211,34 @@ impl<T: Read + Write> Client<T> {
     pub fn query(
         &mut self,
         addr: u32,
+        addr_pct: u16,
+        ping_pct: u16,
+    ) -> Result<Answer, ClientError> {
+        self.query_timed(addr, addr_pct, ping_pct).map(|(answer, _)| answer)
+    }
+
+    /// [`query`](Client::query), with the round-trip time from the
+    /// request's encoding to the reply's last byte.
+    pub fn query_timed(
+        &mut self,
+        addr: u32,
         addr_pct_tenths: u16,
         ping_pct_tenths: u16,
-    ) -> Result<Answer, ClientError> {
-        let reply = self.round_trip(&Message::Query { addr, addr_pct_tenths, ping_pct_tenths })?;
-        match reply {
-            Message::Answer { status, timeout_bits, prefix, prefix_len } => Ok(Answer {
-                status,
-                timeout_secs: f64::from_bits(timeout_bits),
-                timeout_bits,
-                prefix,
-                prefix_len,
-            }),
-            Message::Error { code } => Err(ClientError::Server(code)),
-            _ => Err(ClientError::UnexpectedReply),
+    ) -> Result<(Answer, Duration), ClientError> {
+        match self.round_trip(&Message::Query { addr, addr_pct_tenths, ping_pct_tenths })? {
+            (Reply::Answer(a), rtt) => Ok((a, rtt)),
+            _ => unreachable!("the machine matches a reply to its request"),
         }
     }
 
     /// Fetch the server's aggregate counters.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.round_trip(&Message::Stats)? {
-            Message::StatsReply { queries, hits_exact, hits_fallback } => {
-                Ok(ServerStats { queries, hits_exact, hits_fallback })
-            }
-            Message::Error { code } => Err(ClientError::Server(code)),
-            _ => Err(ClientError::UnexpectedReply),
-        }
+        self.ask(Message::Stats, |r| if let Reply::Stats(s) = r { Some(s) } else { None })
     }
 
     /// Ask which snapshot the server is currently answering from.
     pub fn snapshot_info(&mut self) -> Result<SnapshotInfo, ClientError> {
-        match self.round_trip(&Message::SnapshotInfo)? {
-            Message::SnapshotInfoReply { version, entries, checksum } => {
-                Ok(SnapshotInfo { version, entries, checksum })
-            }
-            Message::Error { code } => Err(ClientError::Server(code)),
-            _ => Err(ClientError::UnexpectedReply),
-        }
+        self.ask(Message::SnapshotInfo, |r| if let Reply::Snapshot(i) = r { Some(i) } else { None })
     }
 
     /// Feed the server's online policy one measured RTT for `addr`
@@ -242,11 +246,8 @@ impl<T: Read + Write> Client<T> {
     /// report count. A snapshot-only server answers
     /// [`ErrorCode::PolicyUnavailable`].
     pub fn report(&mut self, addr: u32, rtt_us: u32) -> Result<u64, ClientError> {
-        match self.round_trip(&Message::Report { addr, rtt_us })? {
-            Message::ReportAck { reports } => Ok(reports),
-            Message::Error { code } => Err(ClientError::Server(code)),
-            _ => Err(ClientError::UnexpectedReply),
-        }
+        let msg = Message::Report { addr, rtt_us };
+        self.ask(msg, |r| if let Reply::ReportAck(n) = r { Some(n) } else { None })
     }
 
     /// Ask the server to hot-reload its snapshot from the configured
@@ -257,49 +258,56 @@ impl<T: Read + Write> Client<T> {
     /// the old snapshot keeps serving), or [`ErrorCode::StaleDelta`]
     /// (the delta's base is not the serving snapshot).
     pub fn reload(&mut self, kind: ReloadKind) -> Result<SnapshotInfo, ClientError> {
-        match self.round_trip(&Message::Reload { kind })? {
-            Message::SnapshotInfoReply { version, entries, checksum } => {
-                Ok(SnapshotInfo { version, entries, checksum })
-            }
-            Message::Error { code } => Err(ClientError::Server(code)),
-            _ => Err(ClientError::UnexpectedReply),
-        }
+        self.ask(
+            Message::Reload { kind },
+            |r| if let Reply::Snapshot(i) = r { Some(i) } else { None },
+        )
     }
 
     /// Ask the server to shut down; resolves once the acknowledgement
     /// arrives.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.round_trip(&Message::Shutdown)? {
-            Message::ShutdownAck => Ok(()),
-            Message::Error { code } => Err(ClientError::Server(code)),
-            _ => Err(ClientError::UnexpectedReply),
-        }
+        self.ask(Message::Shutdown, |r| (r == Reply::ShutdownAck).then_some(()))
     }
 
-    fn round_trip(&mut self, msg: &Message) -> Result<Message, ClientError> {
-        if self.poisoned {
-            return Err(ClientError::Poisoned);
+    /// One round trip, with the reply `pick`ed out of the machine's match.
+    fn ask<R>(&mut self, msg: Message, pick: fn(Reply) -> Option<R>) -> Result<R, ClientError> {
+        let (reply, _) = self.round_trip(&msg)?;
+        Ok(pick(reply).expect("the machine matches a reply to its request"))
+    }
+
+    /// Send `msg` and block until the machine has its reply. A failed
+    /// write or read poisons the connection.
+    fn round_trip(&mut self, msg: &Message) -> Result<(Reply, Duration), ClientError> {
+        self.tx.clear();
+        // The transport's read timeout stands in for the deadline.
+        self.machine.send(self.clock.now(), Duration::MAX, msg, &mut self.tx)?;
+        if let Err(e) = self.stream.write_all(&self.tx) {
+            self.machine.on_transport_error();
+            return Err(e.into());
         }
-        if let Err(e) = proto::write_frame(&mut self.stream, msg) {
-            // A failed or partial request write leaves the server's
-            // decoder in an unknown state.
-            self.poisoned = true;
-            return Err(ClientError::Io(e));
-        }
-        match proto::read_frame(&mut self.stream) {
-            Ok(m) => Ok(m),
-            Err(e) => {
-                // Any transport or framing failure mid-reply leaves the
-                // stream position unknown — most insidiously a
-                // `read_timeout` firing with a frame half-received: the
-                // abandoned bytes arrive later and shift every subsequent
-                // frame, so reuse would decode garbage forever. Poison
-                // the connection so the *next* call fails with a typed
-                // error instead. (Server-level errors and well-framed
-                // unexpected replies keep the connection usable.)
-                self.poisoned = true;
-                Err(e.into())
+        let mut chunk = [0u8; proto::MAX_FRAME + 2];
+        loop {
+            let (used, outcome) = self.machine.on_bytes(self.clock.now(), &self.rx);
+            self.rx.drain(..used);
+            if let Some(Outcome::Reply { reply, rtt }) = outcome {
+                return reply.map(|r| (r, rtt));
             }
+            let err = match self.stream.read(&mut chunk) {
+                Ok(0) => io::ErrorKind::UnexpectedEof.into(),
+                Ok(n) => {
+                    self.rx.extend_from_slice(&chunk[..n]);
+                    continue;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => e,
+            };
+            if matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+                self.machine.on_deadline();
+            } else {
+                self.machine.on_transport_error();
+            }
+            return Err(ClientError::Io(err));
         }
     }
 }
@@ -359,6 +367,32 @@ mod tests {
         let waited = t0.elapsed();
         assert!(waited >= Duration::from_millis(80), "gave up after {waited:?}");
         assert!(waited < Duration::from_secs(5), "spun too long: {waited:?}");
+    }
+
+    #[test]
+    fn connect_retry_deadline_bounds_an_attempt_whose_syn_is_dropped() {
+        // A listener that never accepts: once its accept queue is full,
+        // the kernel drops further SYNs and a plain blocking connect
+        // waits out minutes of SYN retries. Fill the queue until a short
+        // probe stalls (std listens with a backlog of 128).
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut queued = Vec::new();
+        while let Ok(s) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+            queued.push(s);
+            if queued.len() > 512 {
+                eprintln!("accept queue never filled; dropped SYNs are not reproducible here");
+                return;
+            }
+        }
+        let t0 = Instant::now();
+        let out = Client::connect_retry(addr, Duration::from_secs(1), Duration::from_millis(300));
+        let waited = t0.elapsed();
+        match out {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
+            other => panic!("expected a timed-out connect, got {other:?}"),
+        }
+        assert!(waited < Duration::from_secs(3), "a 300 ms deadline took {waited:?}");
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! item 1) gets its transport seam here too: a remote-peer transport is
 //! just another `Transport` impl.
 
+use crate::machine::{ClientMachine, Outcome};
 use crate::oracle::{LookupError, Oracle, OracleHandle, OracleReader};
 use crate::proto::{self, ErrorCode, Message, ProtoError, ReloadKind, Status};
 use beware_dataset::snapshot::{
@@ -54,6 +55,7 @@ use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// The byte-I/O surface a connection needs from its medium. Both methods
 /// are nonblocking: they move what they can now and report
@@ -145,6 +147,22 @@ impl ChannelPeer {
         let mut q = self.from_server.borrow_mut();
         into.extend(q.iter().copied());
         q.clear();
+    }
+
+    /// Hand the queued reply bytes to `machine`, received by `now`, and
+    /// drop the ones it used; a partial frame stays queued.
+    pub fn deliver(&self, machine: &mut ClientMachine, now: Duration) -> Option<Outcome> {
+        let mut q = self.from_server.borrow_mut();
+        let (used, outcome) = machine.on_bytes(now, q.make_contiguous());
+        q.drain(..used);
+        outcome
+    }
+
+    /// Drop every byte queued in either direction: the client gave up on
+    /// whatever was in flight.
+    pub fn discard(&self) {
+        self.to_server.borrow_mut().clear();
+        self.from_server.borrow_mut().clear();
     }
 
     /// Reply bytes currently queued.

@@ -9,8 +9,9 @@
 //! The protocol state machine itself lives in [`engine`], behind a
 //! [`Transport`] seam, so the identical oracle+policy logic also runs
 //! over in-memory channels inside the netsim (`beware simserve`).
-//! A blocking [`client`] library and a closed-loop [`loadgen`] complete
-//! the loop.
+//! The client's half of the protocol is one sans-IO [`machine`], driven
+//! by the blocking [`client`] library (and through it the closed-loop
+//! [`loadgen`]) and by `simserve`'s simulated clients.
 //!
 //! Two properties are load-bearing:
 //!
@@ -32,6 +33,7 @@ pub mod builder;
 pub mod client;
 pub mod engine;
 pub mod loadgen;
+pub mod machine;
 pub mod oracle;
 pub mod proto;
 pub mod server;
@@ -41,7 +43,8 @@ pub use client::{Answer, Client, ClientError, ServerStats, SnapshotInfo};
 pub use engine::{
     channel_pair, ChannelPeer, ChannelTransport, Conn, Engine, EngineCore, Transport,
 };
-pub use loadgen::{LoadCfg, LoadReport, ReloadCfg, ReloadReport};
+pub use loadgen::{LoadCfg, LoadError, LoadReport, ReloadCfg, ReloadReport};
+pub use machine::{AfterTimeout, ClientMachine, Outcome, Reply};
 pub use oracle::{Lookup, LookupError, Oracle, OracleError, OracleHandle, OracleReader};
 pub use proto::{ErrorCode, Message, ProtoError, ReloadKind, Status, PROTO_VERSION};
 pub use server::{start, ConfigError, ServerCfg, ServerCfgBuilder, ServerHandle};

@@ -23,7 +23,6 @@
 
 use beware_wire::checksum::Checksum;
 use beware_wire::{Cursor, WireError};
-use std::io::{self, Read, Write};
 
 /// Current protocol version. A server answers a mismatched version with
 /// [`ErrorCode::BadVersion`] rather than dropping the connection, so old
@@ -207,8 +206,6 @@ const OP_ERROR: u8 = 0x7f;
 /// Errors arising while decoding a frame.
 #[derive(Debug)]
 pub enum ProtoError {
-    /// Underlying I/O failure (including EOF mid-frame).
-    Io(io::Error),
     /// Structural problem: bad length, unknown opcode, wrong payload size.
     Corrupt(&'static str),
     /// Checksum mismatch.
@@ -222,12 +219,6 @@ pub enum ProtoError {
     Version(u8),
 }
 
-impl From<io::Error> for ProtoError {
-    fn from(e: io::Error) -> Self {
-        ProtoError::Io(e)
-    }
-}
-
 impl From<WireError> for ProtoError {
     fn from(_: WireError) -> Self {
         ProtoError::Corrupt("payload length does not match opcode")
@@ -237,7 +228,6 @@ impl From<WireError> for ProtoError {
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtoError::Io(e) => write!(f, "i/o error: {e}"),
             ProtoError::Corrupt(what) => write!(f, "corrupt frame: {what}"),
             ProtoError::Checksum { stored, computed } => {
                 write!(f, "frame checksum mismatch: stored {stored:#06x}, computed {computed:#06x}")
@@ -438,24 +428,6 @@ pub fn decode_body(body: &[u8]) -> Result<Message, ProtoError> {
     }
 }
 
-/// Write one frame to a stream.
-pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    w.write_all(&encode(msg))
-}
-
-/// Read one frame from a (blocking) stream.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Message, ProtoError> {
-    let mut len = [0u8; 2];
-    r.read_exact(&mut len)?;
-    let len = u16::from_le_bytes(len) as usize;
-    if !(4..=MAX_FRAME).contains(&len) {
-        return Err(ProtoError::Corrupt("frame length out of range"));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode_body(&body)
-}
-
 /// Split complete frames out of an accumulation buffer (the server's
 /// nonblocking read path). Returns the decoded message and how many bytes
 /// it consumed, `Ok(None)` when the buffer holds only a partial frame.
@@ -519,8 +491,6 @@ mod tests {
         for msg in all_messages() {
             let frame = encode(&msg);
             assert!(frame.len() <= MAX_FRAME + 2, "{msg:?}");
-            let back = read_frame(&mut &frame[..]).unwrap();
-            assert_eq!(back, msg);
             let (incr, used) = try_decode(&frame).unwrap().unwrap();
             assert_eq!(incr, msg);
             assert_eq!(used, frame.len());
@@ -602,7 +572,7 @@ mod tests {
             for i in 2..clean.len() {
                 let mut bad = clean.clone();
                 bad[i] ^= 0x10;
-                if let Ok(got) = read_frame(&mut &bad[..]) {
+                if let Ok(Some((got, _))) = try_decode(&bad) {
                     assert_eq!(got, msg, "flip at {i} silently accepted");
                 }
             }
@@ -620,22 +590,21 @@ mod tests {
         let ck = ck.finish().to_be_bytes();
         frame[body_len] = ck[0];
         frame[body_len + 1] = ck[1];
-        assert!(matches!(read_frame(&mut &frame[..]), Err(ProtoError::Version(9))));
+        assert!(matches!(try_decode(&frame), Err(ProtoError::Version(9))));
     }
 
     #[test]
     fn oversized_length_rejected_without_allocation() {
         let frame = [0xffu8, 0xff, 0, 0, 0, 0];
         assert!(matches!(
-            read_frame(&mut &frame[..]),
+            try_decode(&frame),
             Err(ProtoError::Corrupt("frame length out of range"))
         ));
-        assert!(try_decode(&frame).is_err());
     }
 
     #[test]
-    fn truncated_stream_is_io_error() {
+    fn truncated_frame_waits_for_the_rest() {
         let frame = encode(&Message::Stats);
-        assert!(matches!(read_frame(&mut &frame[..frame.len() - 1]), Err(ProtoError::Io(_))));
+        assert!(matches!(try_decode(&frame[..frame.len() - 1]), Ok(None)));
     }
 }

@@ -1,7 +1,9 @@
 //! The serve engine's steady-state allocation contract, measured with a
 //! counting global allocator: after warm-up, a `Query` costs no heap
-//! allocation on either reply-cache path, and `Report`s in policy mode
-//! cost only the three allocations of each 64-report table publish.
+//! allocation on either reply-cache path, `Report`s in policy mode cost
+//! only the three allocations of each 64-report table publish, and the
+//! client machine encodes a query and decodes its answer allocating
+//! nothing.
 //!
 //! The allocator's counters are process-wide, so this binary holds one
 //! `#[test]` that runs its scenarios in sequence: no other test thread
@@ -13,12 +15,14 @@ use beware_runtime::alloc::CountingAlloc;
 use beware_runtime::reactor::StopSignal;
 use beware_runtime::VirtualClock;
 use beware_serve::engine::{channel_pair, ChannelPeer, ChannelTransport, Conn, Engine, EngineCore};
+use beware_serve::machine::{AfterTimeout, ClientMachine, Outcome, Reply};
 use beware_serve::oracle::Oracle;
 use beware_serve::proto::{self, Message};
 use beware_serve::{build_snapshot, SnapshotCfg};
 use beware_telemetry::Registry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -76,11 +80,31 @@ impl Rig {
         let before = ALLOC.allocs();
         for bytes in windows {
             self.peer.send(bytes);
-            self.engine.service(&mut self.conn, &mut self.reg);
-            self.engine.flush(&mut self.conn, &mut self.reg);
+            self.pump();
             self.reply.clear();
             self.peer.drain(&mut self.reply);
             assert!(!self.reply.is_empty(), "every window is answered");
+        }
+        ALLOC.allocs() - before
+    }
+
+    fn pump(&mut self) {
+        self.engine.service(&mut self.conn, &mut self.reg);
+        self.engine.flush(&mut self.conn, &mut self.reg);
+    }
+
+    /// Issue `queries` one at a time through a client machine, as a
+    /// simulated client does; returns the heap allocations made.
+    fn ask(&mut self, machine: &mut ClientMachine, queries: std::ops::Range<usize>) -> u64 {
+        let before = ALLOC.allocs();
+        for i in queries {
+            let now = Duration::from_micros(i as u64);
+            self.reply.clear();
+            machine.send(now, Duration::from_secs(1), &query(i), &mut self.reply).unwrap();
+            self.peer.send(&self.reply);
+            self.pump();
+            let answered = self.peer.deliver(machine, now);
+            assert!(matches!(answered, Some(Outcome::Reply { reply: Ok(Reply::Answer(_)), .. })));
         }
         ALLOC.allocs() - before
     }
@@ -128,4 +152,12 @@ fn steady_state_request_path_does_not_allocate() {
         allocs <= 3 * publishes,
         "{allocs} allocations over {reports} reports ({publishes} table publishes)"
     );
+
+    // The client machine: encode a query, decode its answer. The warm-up
+    // asks the same keys, so the engine answers from its reply cache.
+    let mut rig = Rig::new(None);
+    let mut machine = ClientMachine::new(AfterTimeout::Drain);
+    rig.ask(&mut machine, 0..4096);
+    let allocs = rig.ask(&mut machine, 0..4096);
+    assert_eq!(allocs, 0, "{allocs} allocations over {} client-machine queries", 4096);
 }

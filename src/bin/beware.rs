@@ -90,6 +90,17 @@ impl From<&str> for CliError {
     }
 }
 
+/// A load run's out-of-range setting is a usage error; a refused
+/// thread or a failed run is a runtime one.
+impl From<loadgen::LoadError> for CliError {
+    fn from(e: loadgen::LoadError) -> Self {
+        match e {
+            loadgen::LoadError::Config(m) => CliError::Usage(m),
+            other => CliError::Other(other.to_string()),
+        }
+    }
+}
+
 /// Rejected server configuration is a usage error: the flags asked for
 /// something the server refuses to run with.
 impl From<server::ConfigError> for CliError {
@@ -1071,7 +1082,6 @@ fn cmd_loadgen(flags: &Flags) -> Result<(), CliError> {
         addr_pct_tenths: pct_tenths(flags, "addr-pct", 950)?,
         ping_pct_tenths: pct_tenths(flags, "ping-pct", 950)?,
         seed,
-        read_timeout: Duration::from_secs(5),
         report_rtts: flags.num("report-rtts", false)?,
     };
     let report = loadgen::run(addr, &cfg)?;
@@ -1119,7 +1129,8 @@ fn cmd_loadgen_mass(flags: &Flags) -> Result<(), CliError> {
 
     // Three scales up to the requested count (fewer when they collapse),
     // so one invocation records how cost moves with connection count.
-    let mut scales = vec![(conns / 10).clamp(100, conns), (conns / 2).clamp(100, conns), conns];
+    let floor = conns.min(100);
+    let mut scales = vec![(conns / 10).clamp(floor, conns), (conns / 2).clamp(floor, conns), conns];
     scales.sort_unstable();
     scales.dedup();
 
@@ -1127,14 +1138,16 @@ fn cmd_loadgen_mass(flags: &Flags) -> Result<(), CliError> {
     let mut runs = Vec::new();
     for &n in &scales {
         let mcfg = loadgen::MassCfg {
+            load: loadgen::LoadCfg {
+                workers: flags.num("hot-workers", 4usize)?,
+                requests_per_worker: flags.num("requests", 1000usize)?,
+                addr_pool: pool.clone(),
+                addr_pct_tenths: pct_tenths(flags, "addr-pct", 950)?,
+                ping_pct_tenths: pct_tenths(flags, "ping-pct", 950)?,
+                seed,
+                report_rtts: false,
+            },
             conns: n,
-            hot_workers: flags.num("hot-workers", 4usize)?,
-            requests_per_worker: flags.num("requests", 1000usize)?,
-            addr_pool: pool.clone(),
-            addr_pct_tenths: pct_tenths(flags, "addr-pct", 950)?,
-            ping_pct_tenths: pct_tenths(flags, "ping-pct", 950)?,
-            seed,
-            read_timeout: Duration::from_secs(5),
             idle_settle,
             shards,
         };
@@ -1210,16 +1223,18 @@ fn cmd_loadgen_reload(flags: &Flags) -> Result<(), CliError> {
     let mut admin = Client::connect_retry(addr, Duration::from_secs(5), Duration::from_secs(5))
         .map_err(|e| format!("connecting the admin client: {e}"))?;
     let rcfg = loadgen::ReloadCfg {
-        workers: flags.num("workers", 4usize)?,
-        addr_pool: addr_pool_from(Some(&snaps[0]), seed),
-        addr_pct_tenths: pct_tenths(flags, "addr-pct", 950)?,
-        ping_pct_tenths: pct_tenths(flags, "ping-pct", 950)?,
-        seed,
+        load: loadgen::LoadCfg {
+            workers: flags.num("workers", 4usize)?,
+            addr_pool: addr_pool_from(Some(&snaps[0]), seed),
+            addr_pct_tenths: pct_tenths(flags, "addr-pct", 950)?,
+            ping_pct_tenths: pct_tenths(flags, "ping-pct", 950)?,
+            seed,
+            ..Default::default()
+        },
         reloads,
         reload_gap: Duration::from_millis(flags.num("gap-ms", 100u64)?),
         cooldown: Duration::from_millis(flags.num("cooldown-ms", 100u64)?),
         truth,
-        ..Default::default()
     };
     let result = loadgen::run_reload(addr, &rcfg, |i| {
         // Alternate full and delta reloads so both paths are exercised;

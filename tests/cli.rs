@@ -256,6 +256,13 @@ fn loadgen_mass_mode_writes_bench4() {
     // Bad scale rejected cleanly.
     let out = beware(&["loadgen", "--conns", "0"], &dir);
     assert!(!out.status.success());
+    // Under 100 connections the sweep collapses to one scale.
+    let small = ["loadgen", "--conns", "10", "--hot-workers", "1", "--requests", "10"];
+    let out = beware(&[&small[..], &["--idle-settle", "0", "--out", "small.json"]].concat(), &dir);
+    assert!(out.status.success(), "--conns 10 failed: {}", String::from_utf8_lossy(&out.stderr));
+    // More hot workers than a run may start is a usage error, not a panic.
+    let out = beware(&["loadgen", "--conns", "10", "--hot-workers", "1025"], &dir);
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -200,3 +200,42 @@ fn pipeline_output_is_pinned() {
     assert_eq!(pipeline_digest(&a), 0xf883_e109_52de_6a7b);
     assert_eq!(pipeline_digest(&b), 0xe8aa_4e73_5282_3cd3);
 }
+
+/// FNV-1a over a `simserve` campaign's deterministic summary and its
+/// simulated event count.
+fn simserve_digest(cfg: &beware::bench::simserve::SimServeCfg) -> u64 {
+    let r = beware::bench::simserve::run(cfg).unwrap();
+    assert_eq!(r.wrong, 0, "a served answer failed validation");
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in r.summary_json().bytes().chain(r.sim_events.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Three small in-sim serving campaigns, pinned: snapshot mode under the
+/// partition, codel-quantile policy mode under the partition, and the
+/// `covid_step` demand regime. Any change to the simulated clients'
+/// protocol handling, timers or counters moves a digest; a refactor of
+/// the client must leave all three in place, along with the simulated
+/// event order they hash.
+#[test]
+fn simserve_campaigns_are_pinned() {
+    use beware::bench::simserve::{Regime, SimServeCfg};
+    use beware::policy::PolicyKind;
+    let small = SimServeCfg {
+        clients: 3_000,
+        queries_per_client: 3,
+        cell_bits: 10,
+        threads: 1,
+        ..SimServeCfg::default()
+    };
+    let snapshot = SimServeCfg { seed: 7, partition: true, ..small.clone() };
+    let policy =
+        SimServeCfg { partition: true, policy: Some(PolicyKind::CodelQuantile), ..small.clone() };
+    let covid = SimServeCfg { regime: Regime::CovidStep, ..small };
+    assert_eq!(simserve_digest(&snapshot), 0xad71_93d5_cb10_f3ce);
+    assert_eq!(simserve_digest(&policy), 0xae20_7087_b92a_dc79);
+    assert_eq!(simserve_digest(&covid), 0x5931_15bc_1e3b_c47c);
+}

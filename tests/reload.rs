@@ -72,13 +72,11 @@ fn reload_cfg(truth: Vec<Oracle>, reloads: usize) -> loadgen::ReloadCfg {
     }
     addr_pool.extend([0xc0a8_0101, 0x0808_0808]);
     loadgen::ReloadCfg {
-        workers: 4,
-        addr_pool,
+        load: loadgen::LoadCfg { workers: 4, addr_pool, ..Default::default() },
         reloads,
         reload_gap: Duration::from_millis(50),
         cooldown: Duration::from_millis(50),
         truth,
-        ..Default::default()
     }
 }
 
@@ -134,9 +132,9 @@ fn hot_reload_under_load_never_tears_an_answer() {
     std::fs::remove_file(&source).ok();
 
     assert_eq!(report.wrong_answers, 0, "a reply matched no snapshot generation: torn read");
-    assert_eq!(report.errors, 0, "reloads must not fail queries in flight");
+    assert_eq!(report.load.errors, 0, "reloads must not fail queries in flight");
     assert_eq!(report.reloads as usize, RELOADS);
-    assert!(report.requests > 0);
+    assert!(report.load.requests > 0);
     assert_eq!(metrics.counter("oracle/reloads"), Some(RELOADS as u64));
     assert_eq!(metrics.counter("oracle/reload_failures").unwrap_or(0), 0, "no failed reloads");
     assert_eq!(metrics.counter("oracle/stale_delta_rejected").unwrap_or(0), 0);
